@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the query kernels: ProvRC
-// compression itself, backward/forward θ-joins, and box-table merging.
+// compression itself, backward/forward θ-joins (and the forward index's
+// one-time build), and box-table merging.
 
 #include <benchmark/benchmark.h>
 
@@ -151,12 +152,15 @@ BENCHMARK(BM_BackwardJoinSweep)
                    {100, 1000, 10000, 100000, 300000, 1000000},
                    {0, 1, 2, 3}});
 
+// Forward join over the table's cached forward index: the steady-state
+// cost of a forward hop. The one-time index build is BM_ForwardIndexBuild.
 void BM_ForwardThetaJoin(benchmark::State& state) {
   CompressedTable table = ProvRcCompress(MakeSortLineage(state.range(0)));
   Rng rng(7);
   std::vector<int64_t> cells;
   for (int i = 0; i < 64; ++i) cells.push_back(rng.UniformRange(0, state.range(0) - 1));
   BoxTable q = BoxTable::FromCells(1, cells);
+  benchmark::DoNotOptimize(table.ForwardIndex());  // build outside the loop
   for (auto _ : state) {
     BoxTable r = ForwardThetaJoin(q, table);
     benchmark::DoNotOptimize(r);
@@ -164,6 +168,18 @@ void BM_ForwardThetaJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
 BENCHMARK(BM_ForwardThetaJoin)->Arg(1 << 12)->Arg(1 << 15);
+
+// The once-per-table cost a cold forward hop pays before probing.
+void BM_ForwardIndexBuild(benchmark::State& state) {
+  CompressedTable table = ProvRcCompress(MakeSortLineage(state.range(0)));
+  const CompressedTableView view = table.view();
+  for (auto _ : state) {
+    IntervalIndex index = view.BuildForwardIndex();
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() * table.num_rows());
+}
+BENCHMARK(BM_ForwardIndexBuild)->Arg(1 << 12)->Arg(1 << 15);
 
 // ------------------------------------------------- reuse-predictor keys --
 //

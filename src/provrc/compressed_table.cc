@@ -3,6 +3,9 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/metrics.h"
+#include "common/timer.h"
+#include "common/trace.h"
 
 namespace dslog {
 
@@ -41,6 +44,7 @@ CompressedTable::CompressedTable(const CompressedTable& o)
       ref_(o.ref_) {
   std::lock_guard<std::mutex> lock(o.index_mu_);
   index_ = o.index_;  // immutable once built; safe to share
+  forward_index_ = o.forward_index_;
 }
 
 CompressedTable& CompressedTable::operator=(const CompressedTable& o) {
@@ -53,6 +57,7 @@ CompressedTable& CompressedTable::operator=(const CompressedTable& o) {
   ref_ = o.ref_;
   std::scoped_lock lock(index_mu_, o.index_mu_);
   index_ = o.index_;
+  forward_index_ = o.forward_index_;
   return *this;
 }
 
@@ -65,6 +70,7 @@ CompressedTable::CompressedTable(CompressedTable&& o) noexcept
       ref_(std::move(o.ref_)) {
   std::lock_guard<std::mutex> lock(o.index_mu_);
   index_ = std::move(o.index_);
+  forward_index_ = std::move(o.forward_index_);
   o.num_rows_ = 0;
 }
 
@@ -78,6 +84,7 @@ CompressedTable& CompressedTable::operator=(CompressedTable&& o) noexcept {
   ref_ = std::move(o.ref_);
   std::scoped_lock lock(index_mu_, o.index_mu_);
   index_ = std::move(o.index_);
+  forward_index_ = std::move(o.forward_index_);
   o.num_rows_ = 0;
   return *this;
 }
@@ -86,16 +93,20 @@ void CompressedTable::set_out_iv(int64_t r, int32_t k, Interval iv) {
   const size_t at = static_cast<size_t>(r * stride() + k);
   lo_[at] = iv.lo;
   hi_[at] = iv.hi;
-  std::lock_guard<std::mutex> lock(index_mu_);
-  index_.reset();
+  InvalidateIndexes();
 }
 
 void CompressedTable::set_in_iv(int64_t r, int32_t i, Interval iv) {
   const size_t at = static_cast<size_t>(r * stride() + out_ndim() + i);
   lo_[at] = iv.lo;
   hi_[at] = iv.hi;
+  InvalidateIndexes();
+}
+
+void CompressedTable::InvalidateIndexes() {
   std::lock_guard<std::mutex> lock(index_mu_);
   index_.reset();
+  forward_index_.reset();
 }
 
 CompressedRow CompressedTable::Row(int64_t r) const {
@@ -127,8 +138,7 @@ void CompressedTable::AddRow(std::span<const Interval> out,
     ref_.push_back(cell.is_relative() ? cell.ref : -1);
   }
   ++num_rows_;
-  std::lock_guard<std::mutex> lock(index_mu_);
-  index_.reset();
+  InvalidateIndexes();
 }
 
 void CompressedTable::AppendRowRaw(const Interval* out, const Interval* in,
@@ -144,7 +154,7 @@ void CompressedTable::AppendRowRaw(const Interval* out, const Interval* in,
   }
   ++num_rows_;
   // No index invalidation: the encoder appends before any query can have
-  // built an index, and AddRow (the general path) resets it anyway.
+  // built an index, and AddRow (the general path) resets them anyway.
 }
 
 CompressedTableView CompressedTable::view() const {
@@ -166,6 +176,44 @@ std::shared_ptr<const IntervalIndex> CompressedTable::BackwardIndex() const {
     index_ = std::make_shared<const IntervalIndex>(lo_.data(), hi_.data(),
                                                    num_rows_, stride());
   return index_;
+}
+
+std::shared_ptr<const IntervalIndex> CompressedTable::ForwardIndex() const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  if (!forward_index_)
+    forward_index_ =
+        std::make_shared<const IntervalIndex>(view().BuildForwardIndex());
+  return forward_index_;
+}
+
+IntervalIndex CompressedTableView::BuildForwardIndex() const {
+  // Recorded once per build, never per probe: the cached paths build once
+  // per table (or per resolved segment), so a rising count means forward
+  // hops are paying for index builds.
+  static metrics::Counter& builds =
+      metrics::Registry::Global().counter("dslog.query.forward_index_builds");
+  static metrics::Histogram& build_us = metrics::Registry::Global().histogram(
+      "dslog.query.forward_index_build_us");
+  trace::Span span("BuildForwardIndex", "query");
+  span.Arg("rows", num_rows);
+  WallTimer timer;
+  const int32_t l = out_ndim;
+  const int64_t w = stride();
+  std::vector<int64_t> lo0(static_cast<size_t>(num_rows));
+  std::vector<int64_t> hi0(static_cast<size_t>(num_rows));
+  for (int64_t r = 0; r < num_rows; ++r) {
+    const int64_t* row_lo = lo + r * w;
+    const int64_t* row_hi = hi + r * w;
+    const int32_t rf = ref[r * in_ndim];
+    const int64_t base_lo = rf >= 0 ? row_lo[rf] : 0;
+    const int64_t base_hi = rf >= 0 ? row_hi[rf] : 0;
+    lo0[static_cast<size_t>(r)] = base_lo + row_lo[l];
+    hi0[static_cast<size_t>(r)] = base_hi + row_hi[l];
+  }
+  IntervalIndex index(lo0.data(), hi0.data(), num_rows, 1);
+  builds.Increment();
+  build_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
+  return index;
 }
 
 LineageRelation CompressedTable::Decompress() const {

@@ -110,6 +110,13 @@ struct CompressedTableView {
   IntervalIndex BuildBackwardIndex() const {
     return IntervalIndex(lo, hi, num_rows, stride());
   }
+
+  /// Builds the sorted interval index over each row's implied absolute
+  /// input-attribute-0 interval (the forward-join probe column): relative
+  /// cells are de-relativized against their referenced output interval.
+  /// O(n log n); cache the result. Each build is counted in the
+  /// dslog.query.forward_index_builds metric.
+  IntervalIndex BuildForwardIndex() const;
 };
 
 /// A compressed lineage table between one output and one input array
@@ -158,7 +165,7 @@ class CompressedTable {
                    : InputCell::Absolute(in_iv(r, i));
   }
 
-  // Cell mutators (reshape instantiation). Invalidate the cached index.
+  // Cell mutators (reshape instantiation). Invalidate the cached indexes.
   void set_out_iv(int64_t r, int32_t k, Interval iv);
   void set_in_iv(int64_t r, int32_t i, Interval iv);
 
@@ -185,6 +192,10 @@ class CompressedTable {
   /// Thread-safe; mutations invalidate it.
   std::shared_ptr<const IntervalIndex> BackwardIndex() const;
 
+  /// The forward-join counterpart (view().BuildForwardIndex()), cached
+  /// exactly like BackwardIndex().
+  std::shared_ptr<const IntervalIndex> ForwardIndex() const;
+
   /// Expands every row back to individual contribution tuples. Used by the
   /// losslessness property tests and by baselines needing full relations.
   LineageRelation Decompress() const;
@@ -209,10 +220,14 @@ class CompressedTable {
   std::vector<int64_t> hi_;   // num_rows * stride()
   std::vector<int32_t> ref_;  // num_rows * in_ndim
 
-  /// Lazily-built backward-join index. Guarded by index_mu_; immutable
-  /// once published, so copies may share it.
+  /// Resets both cached indexes (every mutator calls this).
+  void InvalidateIndexes();
+
+  /// Lazily-built backward- and forward-join indexes. Guarded by
+  /// index_mu_; immutable once published, so copies may share them.
   mutable std::mutex index_mu_;
   mutable std::shared_ptr<const IntervalIndex> index_;
+  mutable std::shared_ptr<const IntervalIndex> forward_index_;
 };
 
 }  // namespace dslog

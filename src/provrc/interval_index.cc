@@ -11,7 +11,8 @@ namespace dslog {
 IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
                              int64_t stride) {
   if (n <= 0) return;
-  // Candidate positions compact into int32 buffers (common/simd.h).
+  // Candidate positions compact into int32 buffers (common/simd.h), and
+  // row ids are stored as int32.
   DSLOG_CHECK(n <= std::numeric_limits<int32_t>::max())
       << "interval index over >2^31 rows";
   const size_t count = static_cast<size_t>(n);
@@ -20,13 +21,13 @@ IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
   struct Item {
     int64_t lo;
     int64_t hi;
-    int64_t row;
+    int32_t row;
   };
   std::vector<Item> items(count);
   for (size_t i = 0; i < count; ++i)
     items[i] = {lo[static_cast<int64_t>(i) * stride],
                 hi[static_cast<int64_t>(i) * stride],
-                static_cast<int64_t>(i)};
+                static_cast<int32_t>(i)};
   std::sort(items.begin(), items.end(),
             [](const Item& a, const Item& b) { return a.lo < b.lo; });
 
@@ -39,9 +40,12 @@ IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
     row_[i] = items[i].row;
   }
 
-  leaf_count_ = std::bit_ceil(count);
+  leaf_count_ = std::bit_ceil((count + kLeafBlock - 1) / kLeafBlock);
   tree_.assign(2 * leaf_count_, std::numeric_limits<int64_t>::min());
-  for (size_t i = 0; i < count; ++i) tree_[leaf_count_ + i] = hi_[i];
+  for (size_t i = 0; i < count; ++i) {
+    int64_t& leaf = tree_[leaf_count_ + i / kLeafBlock];
+    leaf = std::max(leaf, hi_[i]);
+  }
   for (size_t node = leaf_count_ - 1; node >= 1; --node)
     tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
 

@@ -1,9 +1,9 @@
 // Sorted interval index: rows ordered by interval lo with an implicit
-// binary tree of subtree max-hi bounds, so a probe enumerates exactly the
-// overlapping rows in O(log n + hits) instead of scanning the table. This
-// is the per-table index behind the indexed θ-join kernels (§V.B step 1):
-// the sort the old per-query sweep (query/interval_sweep.h) paid on every
-// join is paid once per table and shared by every query against it.
+// binary tree of subtree max-hi bounds over blocks of kLeafBlock sorted
+// positions, so a probe enumerates exactly the overlapping rows in
+// O(log n + hits) instead of scanning the table. This is the per-table
+// index behind the indexed θ-join kernels (§V.B step 1): the sort is paid
+// once per table and shared by every query against it.
 //
 // Beyond the tree probe, the sorted columns support two vectorized access
 // paths (common/simd.h) a probe can be served by:
@@ -74,18 +74,11 @@ class IntervalIndex {
   /// Exact stats of the indexed column (valid() is false when empty).
   const IntervalColumnStats& stats() const { return stats_; }
 
-  // Sorted columns (ascending lo) and the row id at each sorted position —
-  // the arrays the sweep/scan filters and the planner read directly.
-  const int64_t* sorted_lo() const { return lo_.data(); }
-  const int64_t* sorted_hi() const { return hi_.data(); }
-  const int64_t* row_ids() const { return row_.data(); }
-
   /// Approximate resident bytes (decode-cache charge accounting).
   int64_t bytes() const {
-    return static_cast<int64_t>(
-        sizeof(*this) + (lo_.capacity() + hi_.capacity() + row_.capacity() +
-                         tree_.capacity()) *
-                            sizeof(int64_t));
+    const size_t wide = lo_.capacity() + hi_.capacity() + tree_.capacity();
+    return static_cast<int64_t>(sizeof(*this) + wide * sizeof(int64_t) +
+                                row_.capacity() * sizeof(int32_t));
   }
 
   /// Calls fn(row_id) for every indexed interval intersecting `probe`, in
@@ -135,31 +128,40 @@ class IntervalIndex {
   }
 
  private:
-  // Recursive descent over the implicit tree. Node `node` covers sorted
-  // positions [begin, begin + width); width is a power of two. Prunes a
+  /// Sorted positions per tree leaf. A leaf block is scanned linearly, so
+  /// the tree holds one bound per block instead of one per row.
+  static constexpr size_t kLeafBlock = 8;
+
+  // Recursive descent over the implicit tree. Node `node` covers leaf
+  // blocks [block, block + width); width is a power of two. Prunes a
   // subtree when its smallest lo already exceeds probe.hi (sorted order)
   // or its largest hi falls short of probe.lo (the tree bound). A leaf
-  // that survives both prunes is an overlap by construction.
+  // block that survives both prunes is scanned in position order up to the
+  // first lo past probe.hi.
   template <typename Fn>
-  void Visit(size_t node, size_t begin, size_t width, const Interval& probe,
+  void Visit(size_t node, size_t block, size_t width, const Interval& probe,
              Fn&& fn) const {
+    const size_t begin = block * kLeafBlock;
     if (begin >= lo_.size() || lo_[begin] > probe.hi) return;
     if (tree_[node] < probe.lo) return;
     if (width == 1) {
-      fn(row_[begin]);
+      const size_t end = std::min(begin + kLeafBlock, lo_.size());
+      for (size_t i = begin; i < end && lo_[i] <= probe.hi; ++i)
+        if (hi_[i] >= probe.lo) fn(row_[i]);
       return;
     }
     const size_t half = width / 2;
-    Visit(2 * node, begin, half, probe, fn);
-    Visit(2 * node + 1, begin + half, half, probe, fn);
+    Visit(2 * node, block, half, probe, fn);
+    Visit(2 * node + 1, block + half, half, probe, fn);
   }
 
   std::vector<int64_t> lo_;   // sorted nondecreasing
   std::vector<int64_t> hi_;   // aligned with lo_
-  std::vector<int64_t> row_;  // original row id per sorted position
-  /// Heap-ordered max-hi per node; leaves padded with INT64_MIN.
+  std::vector<int32_t> row_;  // original row id per sorted position
+  /// Heap-ordered max-hi per node (a leaf covers one kLeafBlock block);
+  /// leaves past the last block padded with INT64_MIN.
   std::vector<int64_t> tree_;
-  size_t leaf_count_ = 0;  // power-of-two leaf span of the tree
+  size_t leaf_count_ = 0;  // power-of-two leaf-block span of the tree
   IntervalColumnStats stats_;
 };
 

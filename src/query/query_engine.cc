@@ -21,16 +21,13 @@ namespace {
 constexpr const char* kAccessPathNames[3] = {"index_probe", "sorted_sweep",
                                              "full_scan"};
 
-/// One hop's θ-join, dispatched by direction/representation. `counters`
-/// rides through to the kernels (nullptr = unprofiled).
+/// One hop's θ-join, dispatched by direction. `counters` rides through to
+/// the kernels (nullptr = unprofiled).
 BoxTable RunHop(const QueryHop& hop, const BoxTable& current, int num_threads,
                 bool merge, JoinPath join_path, JoinCounters* counters) {
   if (hop.forward) {
-    return hop.forward_table != nullptr
-               ? hop.forward_table->Join(current, num_threads, merge,
-                                         join_path, counters)
-               : ForwardThetaJoin(current, hop.table, num_threads, merge,
-                                  join_path, counters);
+    return ForwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
+                            join_path, counters);
   }
   return BackwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
                            join_path, &hop.stats, counters);
@@ -96,7 +93,6 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
     const QueryHop& hop = hops[h];
     HopProfile& hp = profile->hops[h];
     hp.forward = hop.forward;
-    hp.used_forward_table = hop.forward && hop.forward_table != nullptr;
     hp.table_rows = hop.table.num_rows;
     hp.requested_path = options.join_path;
     trace::Span hop_span(hop.forward ? "hop.forward" : "hop.backward",
@@ -178,8 +174,6 @@ std::string QueryProfile::ToJson() const {
            ", \"out_arr\": " + ProfileJsonEscape(hp.out_arr) +
            ", \"op_name\": " + ProfileJsonEscape(hp.op_name) +
            ", \"forward\": " + (hp.forward ? "true" : "false") +
-           ", \"used_forward_table\": " +
-           (hp.used_forward_table ? "true" : "false") +
            ", \"from_store\": " + (hp.from_store ? "true" : "false") +
            ", \"cache_hit\": " + (hp.cache_hit ? "true" : "false") +
            ", \"borrowed\": " + (hp.borrowed ? "true" : "false") +
@@ -228,11 +222,10 @@ std::string QueryProfile::ToText() const {
                            ? std::string("<anonymous>")
                            : hp.in_arr + " -> " + hp.out_arr;
     std::snprintf(buf, sizeof(buf),
-                  "  hop %zu [%s%s] %s: rows=%" PRId64 " probes=%" PRId64
+                  "  hop %zu [%s] %s: rows=%" PRId64 " probes=%" PRId64
                   " scanned=%" PRId64 " (est %.0f) emitted=%" PRId64
                   " -> %" PRId64 " boxes, %.3f ms\n",
-                  h, hp.forward ? "fwd" : "bwd",
-                  hp.used_forward_table ? "+table" : "", edge.c_str(),
+                  h, hp.forward ? "fwd" : "bwd", edge.c_str(),
                   hp.table_rows, hp.probes, hp.rows_scanned, hp.est_rows,
                   hp.rows_emitted, hp.result_boxes, hp.wall_ms);
     out += buf;

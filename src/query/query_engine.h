@@ -20,33 +20,29 @@
 
 namespace dslog {
 
-class ForwardTable;
-
 /// One step in a query path: a columnar view of the hop's stored table
 /// (owned arenas or bytes borrowed from an mmap'd LogStore segment) plus
 /// the traversal direction. `forward` means the traversal goes from the
-/// stored relation's input array to its output array. When a materialized
-/// forward representation (§IV.C) is available it can be supplied in
-/// `forward_table` and is used for forward hops instead of the direct join
-/// over the backward representation.
+/// stored relation's input array to its output array; forward and backward
+/// hops both run on the one backward representation (§IV.C), each probing
+/// the index for its direction.
 struct QueryHop {
   QueryHop() = default;
   /// Hop over an owned table: captures its view and shares its cached
-  /// backward index. The table itself must outlive the hop (as before);
-  /// the pin keeps only the index alive.
-  QueryHop(const CompressedTable* table, bool forward,
-           const ForwardTable* forward_table = nullptr)
-      : table(table->view()), forward(forward), forward_table(forward_table) {
-    auto idx = table->BackwardIndex();
+  /// index for the hop's direction. The table itself must outlive the hop
+  /// (as before); the pin keeps only the index alive.
+  QueryHop(const CompressedTable* table, bool forward)
+      : table(table->view()), forward(forward) {
+    auto idx = forward ? table->ForwardIndex() : table->BackwardIndex();
     index = idx.get();
     pin = std::move(idx);
   }
 
   CompressedTableView table;
   bool forward = false;
-  const ForwardTable* forward_table = nullptr;
-  /// Sorted interval index over the table's output attribute 0 (backward
-  /// hops probe it instead of scanning). nullptr = build ephemerally.
+  /// Sorted interval index over the hop's probe column: output attribute 0
+  /// for backward hops, the implied absolute input attribute 0 for forward
+  /// hops. nullptr = the join builds one ephemerally.
   const IntervalIndex* index = nullptr;
   /// Keeps the view's backing storage (and `index`) alive for the query:
   /// hops over lazily-decoded LogStore segments pin the cache entry here
@@ -54,8 +50,8 @@ struct QueryHop {
   std::shared_ptr<const void> pin;
   /// Output-attribute-0 interval-column stats for the join planner,
   /// available without touching the segment bytes (v3 LogStore footers
-  /// carry them). Backward hops only — a forward hop's probe column is
-  /// derived per call, so its planner uses the per-call index's stats.
+  /// carry them). Backward hops only — a forward hop probes a different
+  /// column, so its planner uses the forward index's own exact stats.
   /// Default (invalid) falls back to the hop index's exact stats.
   IntervalColumnStats stats;
 };
@@ -69,8 +65,6 @@ struct HopProfile {
   std::string out_arr;
   std::string op_name;
   bool forward = false;
-  /// Forward hop served by the materialized §IV.C representation.
-  bool used_forward_table = false;
 
   // --- segment resolution (LogStore-backed hops only) ---
   bool from_store = false;  // hop resolved through a LogStore segment

@@ -106,7 +106,8 @@ BoxTable TreeMergeParts(std::vector<BoxTable> parts, int result_ndim,
 // stored table and its shared index) per slice into a private arena on the
 // shared pool, then tree-reduces the arenas. Set-equivalent to
 // join(query); with merge_result each worker canonicalizes its own arena
-// before the merging reduction (no single-threaded epilogue remains).
+// before the merging reduction (no single-threaded epilogue remains). With
+// one slice (num_threads <= 1 or a single box) join runs inline.
 template <typename JoinFn>
 BoxTable PartitionedJoin(const BoxTable& query, int result_ndim,
                          int num_threads, bool merge_result, JoinFn&& join) {
@@ -276,18 +277,12 @@ BoxTable BackwardThetaJoin(const BoxTable& query,
     index = &ephemeral;
   }
   const IntervalColumnStats& effective = EffectiveStats(stats, *index);
-  if (num_threads > 1) {
-    return PartitionedJoin(query, table.in_ndim, num_threads, merge_result,
-                           [&table, index, join_path, &effective,
-                            counters](const BoxTable& q) {
-                             return BackwardKernel(q, table, *index, join_path,
-                                                   effective, counters);
-                           });
-  }
-  BoxTable result =
-      BackwardKernel(query, table, *index, join_path, effective, counters);
-  if (merge_result) result.Merge();
-  return result;
+  return PartitionedJoin(query, table.in_ndim, num_threads, merge_result,
+                         [&table, index, join_path, &effective,
+                          counters](const BoxTable& q) {
+                           return BackwardKernel(q, table, *index, join_path,
+                                                 effective, counters);
+                         });
 }
 
 BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
@@ -300,165 +295,30 @@ BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query,
-                          const CompressedTableView& table, int num_threads,
+                          const CompressedTableView& table,
+                          const IntervalIndex* index, int num_threads,
                           bool merge_result, JoinPath join_path,
                           JoinCounters* counters) {
   DSLOG_CHECK(query.ndim() == table.in_ndim) << "forward query arity mismatch";
-  // Implied absolute input-attribute-0 intervals drive the probe; they
-  // depend on de-relativization, so the index is per call (its build cost
-  // matches the sort the old sweep paid every call).
-  const int32_t l = table.out_ndim;
-  const int64_t w = table.stride();
-  std::vector<int64_t> lo0(static_cast<size_t>(table.num_rows));
-  std::vector<int64_t> hi0(static_cast<size_t>(table.num_rows));
-  for (int64_t r = 0; r < table.num_rows; ++r) {
-    const int64_t* row_lo = table.lo + r * w;
-    const int64_t* row_hi = table.hi + r * w;
-    const int32_t rf = table.ref[r * table.in_ndim];
-    const int64_t base_lo = rf >= 0 ? row_lo[rf] : 0;
-    const int64_t base_hi = rf >= 0 ? row_hi[rf] : 0;
-    lo0[static_cast<size_t>(r)] = base_lo + row_lo[l];
-    hi0[static_cast<size_t>(r)] = base_hi + row_hi[l];
+  IntervalIndex ephemeral;
+  if (index == nullptr) {
+    ephemeral = table.BuildForwardIndex();
+    index = &ephemeral;
   }
-  IntervalIndex index(lo0.data(), hi0.data(), table.num_rows, 1);
-  if (num_threads > 1) {
-    return PartitionedJoin(query, table.out_ndim, num_threads, merge_result,
-                           [&table, &index, join_path,
-                            counters](const BoxTable& q) {
-                             return ForwardKernel(q, table, index, join_path,
-                                                  counters);
-                           });
-  }
-  BoxTable result = ForwardKernel(query, table, index, join_path, counters);
-  if (merge_result) result.Merge();
-  return result;
+  return PartitionedJoin(query, table.out_ndim, num_threads, merge_result,
+                         [&table, index, join_path,
+                          counters](const BoxTable& q) {
+                           return ForwardKernel(q, table, *index, join_path,
+                                                counters);
+                         });
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                           int num_threads, bool merge_result,
                           JoinPath join_path, JoinCounters* counters) {
-  return ForwardThetaJoin(query, table.view(), num_threads, merge_result,
-                          join_path, counters);
-}
-
-ForwardTable ForwardTable::FromBackward(const CompressedTableView& table) {
-  ForwardTable fwd;
-  fwd.out_shape_.assign(table.out_shape, table.out_shape + table.out_ndim);
-  fwd.in_shape_.assign(table.in_shape, table.in_shape + table.in_ndim);
-  const int32_t l = table.out_ndim;
-  const int32_t m = table.in_ndim;
-  const int64_t n = table.num_rows;
-  const int64_t w = table.stride();
-  fwd.num_rows_ = n;
-  fwd.in_lo_.resize(static_cast<size_t>(n * m));
-  fwd.in_hi_.resize(static_cast<size_t>(n * m));
-  fwd.out_lo_.resize(static_cast<size_t>(n * l));
-  fwd.out_hi_.resize(static_cast<size_t>(n * l));
-  fwd.ref_start_.assign(static_cast<size_t>(n * l) + 1, 0);
-
-  // Pass 1: columns and per-(row, output attr) constraint counts.
-  for (int64_t r = 0; r < n; ++r) {
-    const int64_t* row_lo = table.lo + r * w;
-    const int64_t* row_hi = table.hi + r * w;
-    const int32_t* refs = table.ref + r * m;
-    for (int32_t j = 0; j < l; ++j) {
-      fwd.out_lo_[static_cast<size_t>(r * l + j)] = row_lo[j];
-      fwd.out_hi_[static_cast<size_t>(r * l + j)] = row_hi[j];
-    }
-    for (int32_t i = 0; i < m; ++i) {
-      const int32_t rf = refs[i];
-      const int64_t base_lo = rf >= 0 ? row_lo[rf] : 0;
-      const int64_t base_hi = rf >= 0 ? row_hi[rf] : 0;
-      fwd.in_lo_[static_cast<size_t>(r * m + i)] = base_lo + row_lo[l + i];
-      fwd.in_hi_[static_cast<size_t>(r * m + i)] = base_hi + row_hi[l + i];
-      if (rf >= 0) ++fwd.ref_start_[static_cast<size_t>(r * l + rf) + 1];
-    }
-  }
-  // Prefix-sum the counts into CSR offsets, then pass 2 fills the slots.
-  for (size_t c = 1; c < fwd.ref_start_.size(); ++c)
-    fwd.ref_start_[c] += fwd.ref_start_[c - 1];
-  const int32_t total = fwd.ref_start_.back();
-  fwd.ref_in_.resize(static_cast<size_t>(total));
-  fwd.ref_dlo_.resize(static_cast<size_t>(total));
-  fwd.ref_dhi_.resize(static_cast<size_t>(total));
-  std::vector<int32_t> cursor(fwd.ref_start_.begin(), fwd.ref_start_.end() - 1);
-  for (int64_t r = 0; r < n; ++r) {
-    const int64_t* row_lo = table.lo + r * w;
-    const int64_t* row_hi = table.hi + r * w;
-    const int32_t* refs = table.ref + r * m;
-    for (int32_t i = 0; i < m; ++i) {
-      const int32_t rf = refs[i];
-      if (rf < 0) continue;
-      int32_t& slot = cursor[static_cast<size_t>(r * l + rf)];
-      fwd.ref_in_[static_cast<size_t>(slot)] = i;
-      fwd.ref_dlo_[static_cast<size_t>(slot)] = row_lo[l + i];
-      fwd.ref_dhi_[static_cast<size_t>(slot)] = row_hi[l + i];
-      ++slot;
-    }
-  }
-  fwd.in0_index_ = IntervalIndex(fwd.in_lo_.data(), fwd.in_hi_.data(), n,
-                                 static_cast<int64_t>(m));
-  return fwd;
-}
-
-BoxTable ForwardTable::Join(const BoxTable& query, int num_threads,
-                            bool merge_result, JoinPath join_path,
-                            JoinCounters* counters) const {
-  DSLOG_CHECK(query.ndim() == in_ndim()) << "forward query arity mismatch";
-  if (num_threads > 1 || merge_result) {
-    return PartitionedJoin(
-        query, out_ndim(), num_threads, merge_result,
-        [this, join_path, counters](const BoxTable& q) {
-          return Join(q, 1, false, join_path, counters);
-        });
-  }
-  const int32_t l = static_cast<int32_t>(out_ndim());
-  const int32_t m = static_cast<int32_t>(in_ndim());
-  BoxTable result(l);
-  std::vector<Interval> ti(static_cast<size_t>(m));
-  std::vector<Interval> out_box(static_cast<size_t>(l));
-  std::vector<int32_t> scratch;
-  const IntervalColumnStats& stats = in0_index_.stats();
-  LocalJoinCounters local;
-
-  for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
-    const auto q = query.Box(qb);
-    const AccessPath path =
-        counters == nullptr
-            ? ResolveAccessPath(join_path, q[0], stats)
-            : ResolveAndRecord(join_path, q[0], stats, &local);
-    in0_index_.ForEachOverlapping(q[0], path, &scratch, [&](int64_t r) {
-      ++local.rows_scanned;
-      const int64_t* row_in_lo = in_lo_.data() + r * m;
-      const int64_t* row_in_hi = in_hi_.data() + r * m;
-      bool hit = true;
-      for (int32_t i = 0; i < m; ++i) {
-        const int64_t lo = std::max(q[static_cast<size_t>(i)].lo, row_in_lo[i]);
-        const int64_t hi = std::min(q[static_cast<size_t>(i)].hi, row_in_hi[i]);
-        ti[static_cast<size_t>(i)] = {lo, hi};
-        hit &= lo <= hi;
-      }
-      if (!hit) return;
-      bool feasible = true;
-      for (int32_t j = 0; j < l && feasible; ++j) {
-        const size_t c = static_cast<size_t>(r * l + j);
-        Interval v = {out_lo_[c], out_hi_[c]};
-        for (int32_t s = ref_start_[c]; s < ref_start_[c + 1]; ++s) {
-          const Interval& t_i = ti[static_cast<size_t>(ref_in_[static_cast<size_t>(s)])];
-          v.lo = std::max(v.lo, t_i.lo - ref_dhi_[static_cast<size_t>(s)]);
-          v.hi = std::min(v.hi, t_i.hi - ref_dlo_[static_cast<size_t>(s)]);
-          if (v.lo > v.hi) break;
-        }
-        feasible = v.lo <= v.hi;
-        out_box[static_cast<size_t>(j)] = v;
-      }
-      if (!feasible) return;
-      result.AddBox(out_box);
-    });
-  }
-  local.rows_emitted = result.num_boxes();
-  local.FlushTo(counters);
-  return result;
+  std::shared_ptr<const IntervalIndex> index = table.ForwardIndex();
+  return ForwardThetaJoin(query, table.view(), index.get(), num_threads,
+                          merge_result, join_path, counters);
 }
 
 }  // namespace dslog

@@ -26,7 +26,6 @@ namespace {
 /// reference mid-query).
 struct HopPin {
   std::shared_ptr<const CompressedTable> table;
-  std::shared_ptr<const ForwardTable> forward;
   std::shared_ptr<const void> store_pin;
   std::shared_ptr<const LogStore> store;
 };
@@ -139,22 +138,15 @@ Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
         return Status::NotFound("input array not defined: " + in);
   }
 
-  // Compress the captured lineage — and materialize its forward
-  // representation when configured — before taking any lock: these are the
-  // expensive parts of ingest and touch no shared state, so concurrent
+  // Compress the captured lineage before taking any lock: this is the
+  // expensive part of ingest and touches no shared state, so concurrent
   // readers are only blocked for the catalog update.
   std::vector<CompressedTable> captured_tables;
-  std::vector<std::shared_ptr<const ForwardTable>> captured_forward;
   captured_tables.reserve(reg.captured.size());
-  for (const LineageRelation& rel : reg.captured) {
+  for (const LineageRelation& rel : reg.captured)
     captured_tables.push_back(ProvRcCompress(rel));
-    if (options_.materialize_forward)
-      captured_forward.push_back(std::make_shared<const ForwardTable>(
-          ForwardTable::FromBackward(captured_tables.back())));
-  }
 
   std::vector<CompressedTable> tables;
-  std::vector<std::shared_ptr<const ForwardTable>> forward = captured_forward;
   ReuseOutcome outcome;
   {
     std::unique_lock lock(catalog_mu_);
@@ -185,12 +177,6 @@ Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
       if (tables.empty())
         return Status::NotFound("no promoted reuse mapping for " + reg.op_name);
       outcome.dim_hit = true;  // served from the reuse index
-      if (options_.materialize_forward) {
-        forward.clear();
-        for (const CompressedTable& table : tables)
-          forward.push_back(std::make_shared<const ForwardTable>(
-              ForwardTable::FromBackward(table)));
-      }
     }
   }  // catalog lock released: edge commit takes only the target shard.
 
@@ -205,7 +191,6 @@ Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
     edge.op_name = reg.op_name;
     edge.table =
         std::make_shared<const CompressedTable>(std::move(tables[i]));
-    if (options_.materialize_forward) edge.forward = std::move(forward[i]);
     edges.push_back(std::move(edge));
   }
   CommitEdges(std::move(edges));
@@ -224,12 +209,8 @@ Status StagedIngest::Add(OperationRegistration reg) {
     return Status::InvalidArgument("one captured relation per input required");
   StagedOp op;
   op.tables.reserve(reg.captured.size());
-  for (const LineageRelation& rel : reg.captured) {
+  for (const LineageRelation& rel : reg.captured)
     op.tables.push_back(ProvRcCompress(rel));
-    if (log_->options_.materialize_forward)
-      op.forward.push_back(std::make_shared<const ForwardTable>(
-          ForwardTable::FromBackward(op.tables.back())));
-  }
   reg.captured.clear();
   op.reg = std::move(reg);
   ops_.push_back(std::move(op));
@@ -281,7 +262,6 @@ Result<std::vector<ReuseOutcome>> StagedIngest::Drain() {
       edge.op_name = op.reg.op_name;
       edge.table =
           std::make_shared<const CompressedTable>(std::move(op.tables[i]));
-      if (i < op.forward.size()) edge.forward = std::move(op.forward[i]);
       edges.push_back(std::move(edge));
     }
   }
@@ -321,19 +301,20 @@ Result<bool> DSLog::FindEdgeCopy(const std::string& in_arr,
   out->out_arr = seg.out_arr;
   out->op_name = seg.op_name;
   out->table = nullptr;
-  out->forward = nullptr;
   out->segment = static_cast<int32_t>(segment);
   return true;
 }
 
 Result<LogStore::PinnedTable> DSLog::ResolveEdgeView(
-    const Edge& edge, const LogStore* store, LogStore::ViewEvent* ev) const {
+    const Edge& edge, bool forward, const LogStore* store,
+    LogStore::ViewEvent* ev) const {
   if (edge.segment < 0) {
     // Resident edge: view the pinned table's arenas. The pin carries the
     // lazily-built index so eviction semantics match lazy edges.
     LogStore::PinnedTable pinned;
     pinned.view = edge.table->view();
-    auto index = edge.table->BackwardIndex();
+    auto index =
+        forward ? edge.table->ForwardIndex() : edge.table->BackwardIndex();
     pinned.index = index.get();
     pinned.pin = std::move(index);
     return pinned;
@@ -341,7 +322,7 @@ Result<LogStore::PinnedTable> DSLog::ResolveEdgeView(
   if (store == nullptr)
     return Status::Internal("lazy edge without a backing store: " +
                             edge.in_arr + " -> " + edge.out_arr);
-  return store->View(static_cast<size_t>(edge.segment), ev);
+  return store->View(static_cast<size_t>(edge.segment), forward, ev);
 }
 
 const CompressedTable* DSLog::FindEdge(const std::string& in_arr,
@@ -409,7 +390,8 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     }
     LogStore::ViewEvent ev;
     DSLOG_ASSIGN_OR_RETURN(
-        auto pinned, ResolveEdgeView(edge, store.get(), prof ? &ev : nullptr));
+        auto pinned,
+        ResolveEdgeView(edge, forward, store.get(), prof ? &ev : nullptr));
     if (prof) {
       // Pre-fill this hop's edge identity + segment-resolution fields;
       // InSituQuery keeps them and adds the join-execution fields.
@@ -429,19 +411,18 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     QueryHop hop;
     hop.table = pinned.view;
     hop.forward = forward;
-    if (forward) hop.forward_table = edge.forward.get();
     hop.index = pinned.index;
     // Planner stats from the segment's footer entry, for backward hops
-    // only (a forward hop probes a per-call derived column, not out-attr
-    // 0). Read id-addressed so a v4 store never materializes its segment
-    // vector on the query path; pre-v3 stores yield the default-invalid
-    // stats and the joins fall back to the hop index's exact stats.
+    // only (a forward hop probes the implied input-attribute-0 column, not
+    // out-attr 0). Read id-addressed so a v4 store never materializes its
+    // segment vector on the query path; pre-v3 stores yield the
+    // default-invalid stats and the joins fall back to the hop index's
+    // exact stats.
     if (!forward && edge.segment >= 0 && store != nullptr)
       hop.stats =
           store->segment_out0_stats(static_cast<size_t>(edge.segment));
     auto pin = std::make_shared<HopPin>();
     pin->table = std::move(edge.table);
-    pin->forward = std::move(edge.forward);
     pin->store_pin = std::move(pinned.pin);
     if (edge.segment >= 0) pin->store = store;
     hop.pin = std::move(pin);

@@ -56,11 +56,6 @@ struct OperationRegistration {
 
 /// Configuration of a DSLog catalog.
 struct DSLogOptions {
-  /// Materialize the forward representation (§IV.C, Table III) next to the
-  /// stored backward table, trading memory for faster forward hops. The
-  /// paper stores "either or both versions depending on the distribution of
-  /// forward and reverse queries"; this flag is the "both" configuration.
-  bool materialize_forward = false;
   /// Number of lock-striped shards the edge catalog is split across (each
   /// shard has its own shared_mutex). Edges hash to a shard by output
   /// array, so one RegisterOperation commits all its edges under a single
@@ -74,8 +69,7 @@ struct DSLogOptions {
 struct InSituOptions {
   /// Mapping, checksum, and decode-cache behaviour of the backing LogStore.
   LogStoreOptions store;
-  /// Catalog behaviour of the opened DSLog (shard count; the
-  /// materialize_forward flag is not applied to mapped edges).
+  /// Catalog behaviour of the opened DSLog (shard count).
   DSLogOptions catalog;
 };
 
@@ -190,8 +184,6 @@ class DSLog {
   /// The catalog stays writable: RegisterOperation adds ordinary in-memory
   /// edges next to the mapped ones (persist them with AppendLogStore); a
   /// resident edge shadows the mapped segment with the same key.
-  /// materialize_forward is not applied to mapped edges; forward hops run
-  /// directly on the backward representation.
   static Result<DSLog> OpenInSitu(const std::string& path,
                                   const InSituOptions& options = {});
 
@@ -237,9 +229,6 @@ class DSLog {
     /// is released, even across a concurrent re-registration. nullptr for
     /// lazy edges, which resolve through store_ by `segment`.
     std::shared_ptr<const CompressedTable> table;
-    /// Forward representation (§IV.C), present when
-    /// options_.materialize_forward is set.
-    std::shared_ptr<const ForwardTable> forward;
     /// LogStore segment id backing this edge, or -1 when resident.
     int32_t segment = -1;
   };
@@ -270,13 +259,14 @@ class DSLog {
                             const std::string& out_arr, const LogStore* store,
                             Edge* out) const;
 
-  /// Resolves a copied edge into a query hop's view + index + pin. Takes
+  /// Resolves a copied edge into a query hop's view + index + pin, the
+  /// index being the cached one for the hop direction (`forward`). Takes
   /// no catalog locks: resident edges view their pinned table, lazy edges
   /// resolve through `store` (which synchronizes internally). `ev`, when
   /// non-null, receives how a lazy edge's segment resolved (untouched for
   /// resident edges).
   Result<LogStore::PinnedTable> ResolveEdgeView(
-      const Edge& edge, const LogStore* store,
+      const Edge& edge, bool forward, const LogStore* store,
       LogStore::ViewEvent* ev = nullptr) const;
 
   /// Commits edges into their shards, one writer-lock acquisition per
@@ -349,7 +339,6 @@ class StagedIngest {
   struct StagedOp {
     OperationRegistration reg;  // captured relations already consumed
     std::vector<CompressedTable> tables;
-    std::vector<std::shared_ptr<const ForwardTable>> forward;
   };
 
   DSLog* log_;

@@ -669,22 +669,69 @@ LogStore::ResolveSegment(size_t id, int64_t* charge, int64_t* decompressed,
   return std::shared_ptr<const ResolvedSegment>(std::move(resolved));
 }
 
-Result<LogStore::PinnedTable> LogStore::View(size_t id, ViewEvent* ev) const {
+void LogStore::EvictOverBudget(CacheShard& shard) const {
+  while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
+    size_t victim = shard.lru.back();
+    shard.lru.pop_back();
+    auto vit = shard.cache.find(victim);
+    shard.bytes -= vit->second.charge;
+    shard.cache.erase(vit);
+    BumpRelaxed(shard.stats.evictions);
+    LogStoreMetrics::Get().evictions.Increment();
+  }
+}
+
+const IntervalIndex* LogStore::ForwardIndexOf(
+    size_t id, const ResolvedSegment& seg) const {
+  bool built = false;
+  std::call_once(seg.forward_once, [&seg, &built] {
+    seg.forward_index = seg.view.BuildForwardIndex();
+    built = true;
+  });
+  if (built) {
+    // Charge the new index to the entry it belongs to, as the most recent
+    // use, then re-run the budget. An entry evicted (or replaced by a
+    // re-resolve) meanwhile is not charged: its memory is owned by the
+    // pins alone and freed with them.
+    CacheShard& shard = ShardFor(id);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.cache.find(id);
+    if (it != shard.cache.end() && it->second.segment.get() == &seg) {
+      const int64_t bytes = seg.forward_index.bytes();
+      it->second.charge += bytes;
+      shard.bytes += bytes;
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+      EvictOverBudget(shard);
+    }
+  }
+  return &seg.forward_index;
+}
+
+Result<LogStore::PinnedTable> LogStore::View(size_t id, bool forward,
+                                             ViewEvent* ev) const {
   if (id >= num_segments_)
     return Status::InvalidArgument("logstore segment id out of range");
   LogStoreMetrics& lsm = LogStoreMetrics::Get();
   CacheShard& shard = ShardFor(id);
   if (ev != nullptr) ev->segment_bytes = segment_length(id);
+  // The pinned result for `seg`, with the index for the hop's direction.
+  // The forward index builds outside the shard lock.
+  const auto pinned = [&](std::shared_ptr<const ResolvedSegment> seg) {
+    const IntervalIndex* index =
+        forward ? ForwardIndexOf(id, *seg) : &seg->index;
+    return PinnedTable{seg->view, index, std::move(seg)};
+  };
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::unique_lock<std::mutex> lock(shard.mu);
     auto it = shard.cache.find(id);
     if (it != shard.cache.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
       BumpRelaxed(shard.stats.cache_hits);
       lsm.cache_hits.Increment();
       if (ev != nullptr) ev->cache_hit = true;
-      const auto& seg = it->second.segment;
-      return PinnedTable{seg->view, &seg->index, seg};
+      std::shared_ptr<const ResolvedSegment> seg = it->second.segment;
+      lock.unlock();
+      return pinned(std::move(seg));
     }
     BumpRelaxed(shard.stats.cache_misses);
     lsm.cache_misses.Increment();
@@ -720,7 +767,7 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, ViewEvent* ev) const {
     ev->resolve_us = resolve_us;
   }
 
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::unique_lock<std::mutex> lock(shard.mu);
   BumpRelaxed(shard.stats.decode_count);
   BumpRelaxed(shard.stats.bytes_decompressed, decompressed);
   BumpRelaxed(shard.stats.rows_materialized, rows_copied);
@@ -734,24 +781,17 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, ViewEvent* ev) const {
   }
   auto it = shard.cache.find(id);
   if (it != shard.cache.end()) {  // lost the resolve race
-    const auto& seg = it->second.segment;
-    return PinnedTable{seg->view, &seg->index, seg};
+    resolved = it->second.segment;
+  } else {
+    shard.lru.push_front(id);
+    shard.cache[id] = CacheEntry{resolved, charge, shard.lru.begin()};
+    shard.bytes += charge;
+    // Never evicts the entry just inserted (a single segment larger than
+    // the whole budget must still be servable).
+    EvictOverBudget(shard);
   }
-  shard.lru.push_front(id);
-  shard.cache[id] = CacheEntry{resolved, charge, shard.lru.begin()};
-  shard.bytes += charge;
-  // Evict past the shard's budget slice, never the entry just inserted (a
-  // single segment larger than the whole budget must still be servable).
-  while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
-    size_t victim = shard.lru.back();
-    shard.lru.pop_back();
-    auto vit = shard.cache.find(victim);
-    shard.bytes -= vit->second.charge;
-    shard.cache.erase(vit);
-    BumpRelaxed(shard.stats.evictions);
-    lsm.evictions.Increment();
-  }
-  return PinnedTable{resolved->view, &resolved->index, resolved};
+  lock.unlock();
+  return pinned(std::move(resolved));
 }
 
 Result<std::shared_ptr<const CompressedTable>> LogStore::Table(

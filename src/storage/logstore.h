@@ -38,6 +38,9 @@
 // a v2 segment is *borrowed*: the cache entry holds a CompressedTableView
 // aliasing the mapped bytes plus the backward-join interval index — zero
 // bytes decompressed, zero rows materialized (LogStoreStats counts both).
+// The forward-join index is built on the entry's first forward hop only,
+// never at resolve, and is never persisted; its bytes are charged to the
+// entry's cache shard when it is built.
 // Segment checksums are verified at first touch (and the footer checksum
 // at open), turning any flipped byte or truncation into Status::Corruption
 // instead of UB. Version-4 footers checksum with the wide 8-byte-lane hash
@@ -132,7 +135,8 @@ enum class SegmentLayout : uint32_t {
 
 struct LogStoreOptions {
   /// Budget for resolved segments kept resident (approximate bytes: decoded
-  /// tables for v1, interval indexes for borrowed v2 views). Least-recently-
+  /// tables for v1, interval indexes — backward, and forward once built —
+  /// for borrowed v2 views). Least-recently-
   /// used segments are evicted past it; in-flight queries keep their pinned
   /// entries alive regardless.
   int64_t cache_capacity_bytes = 64ll << 20;
@@ -204,9 +208,9 @@ class LogStore {
     IntervalColumnStats out0_stats;
   };
 
-  /// A resolved segment: the scan view, its backward-join index, and a pin
-  /// keeping both (and any owned arena behind the view) alive across cache
-  /// evictions for as long as the caller holds it.
+  /// A resolved segment: the scan view, the join index for the requested
+  /// hop direction, and a pin keeping both (and any owned arena behind the
+  /// view) alive across cache evictions for as long as the caller holds it.
   struct PinnedTable {
     CompressedTableView view;
     const IntervalIndex* index = nullptr;
@@ -286,9 +290,13 @@ class LogStore {
 
   /// The scan view of segment `id`, resolving on first touch (gzip decode
   /// for v1, zero-copy borrow for v2) and serving repeats from the LRU
-  /// cache. This is the query path. `ev`, when non-null, receives how this
+  /// cache. This is the query path. `forward` selects the index handed
+  /// out: the backward-join index (built at resolve) or the forward-join
+  /// index (built once per resolution, on the first forward request, and
+  /// charged to the cache budget). `ev`, when non-null, receives how this
   /// call resolved (profiled queries thread it into their HopProfile).
-  Result<PinnedTable> View(size_t id, ViewEvent* ev = nullptr) const;
+  Result<PinnedTable> View(size_t id, bool forward = false,
+                           ViewEvent* ev = nullptr) const;
 
   /// The segment as an owned CompressedTable (bench/test hook and legacy
   /// transcodes). v1 serves the cached decode; v2 materializes a fresh
@@ -312,11 +320,15 @@ class LogStore {
 
   /// One cached resolution: `table` owns the arenas for v1 decodes (null
   /// for v2 borrows, whose view aliases the mapping), `index` is always
-  /// built. Handed out via shared_ptr so pins survive eviction.
+  /// built. `forward_index` is built at most once, on the first forward
+  /// View() of this resolution (an evicted and re-resolved segment builds
+  /// a fresh one). Handed out via shared_ptr so pins survive eviction.
   struct ResolvedSegment {
     std::shared_ptr<const CompressedTable> table;
     CompressedTableView view;
     IntervalIndex index;
+    mutable std::once_flag forward_once;
+    mutable IntervalIndex forward_index;  // written only under forward_once
   };
 
   struct CacheEntry {
@@ -364,6 +376,16 @@ class LogStore {
   CacheShard& ShardFor(size_t id) const {
     return cache_shards_[id % num_cache_shards_];
   }
+
+  /// Builds `seg`'s forward index on first call (outside every lock), then
+  /// charges its bytes to segment `id`'s cache entry if `seg` is still the
+  /// cached resolution. Returns the index.
+  const IntervalIndex* ForwardIndexOf(size_t id,
+                                      const ResolvedSegment& seg) const;
+
+  /// Evicts least-recently-used entries past the shard's budget slice,
+  /// never the most recent one. Caller holds shard.mu.
+  void EvictOverBudget(CacheShard& shard) const;
 
   /// v4 flat-record field reads (memcpy-based: the heap-read fallback has
   /// no alignment guarantee).

@@ -17,6 +17,8 @@
 #include "array/ndarray.h"
 #include "array/op.h"
 #include "array/op_registry.h"
+#include "common/io.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "provrc/provrc.h"
@@ -230,9 +232,7 @@ TEST(ConcurrencyStressTest, ReadersVsWriterOracleConsistent) {
   std::vector<std::vector<int64_t>> shapes = {first_shape};
   for (const ChainStep& step : chain) shapes.push_back(step.out_shape);
 
-  DSLogOptions options;
-  options.materialize_forward = true;  // writer also builds ForwardTables
-  DSLog log(options);
+  DSLog log;
   ASSERT_TRUE(log.DefineArray(names[0], shapes[0]).ok());
 
   std::atomic<int> registered{0};
@@ -473,7 +473,6 @@ TEST_F(BatchFixture, TreeMergedParallelJoinIsDeterministic) {
 
 TEST_F(BatchFixture, TreeMergedForwardJoinsAreDeterministic) {
   CompressedTable table = ProvRcCompress(chain_[0].rel);
-  ForwardTable fwd = ForwardTable::FromBackward(table);
   Rng rng(43);
   BoxTable query = BoxTable::FromCells(
       static_cast<int>(shapes_[0].size()),
@@ -483,21 +482,68 @@ TEST_F(BatchFixture, TreeMergedForwardJoinsAreDeterministic) {
   serial.Merge();
   const int arity = serial.ndim();
 
-  BoxTable direct = ForwardThetaJoin(query, table, /*num_threads=*/8,
+  // Cached forward index (the owned-table overload) vs an ephemeral
+  // per-call index: both set-equal to the serial join and bit-identical
+  // across repeated parallel runs.
+  BoxTable cached = ForwardThetaJoin(query, table, /*num_threads=*/8,
                                      /*merge_result=*/true);
-  BoxTable materialized = fwd.Join(query, /*num_threads=*/8,
-                                   /*merge_result=*/true);
-  EXPECT_EQ(ToTupleSet(direct.ExpandToCells(), arity),
+  BoxTable ephemeral = ForwardThetaJoin(query, table.view(), nullptr,
+                                        /*num_threads=*/8,
+                                        /*merge_result=*/true);
+  EXPECT_EQ(ToTupleSet(cached.ExpandToCells(), arity),
             ToTupleSet(serial.ExpandToCells(), arity));
-  EXPECT_EQ(ToTupleSet(materialized.ExpandToCells(), arity),
-            ToTupleSet(serial.ExpandToCells(), arity));
+  EXPECT_TRUE(BoxTablesIdentical(cached, ephemeral));
   for (int rep = 0; rep < 5; ++rep) {
     EXPECT_TRUE(BoxTablesIdentical(
-        direct, ForwardThetaJoin(query, table, 8, true)))
-        << "direct rep " << rep;
-    EXPECT_TRUE(BoxTablesIdentical(materialized, fwd.Join(query, 8, true)))
-        << "materialized rep " << rep;
+        cached, ForwardThetaJoin(query, table, 8, true)))
+        << "cached rep " << rep;
+    EXPECT_TRUE(BoxTablesIdentical(
+        ephemeral, ForwardThetaJoin(query, table.view(), nullptr, 8, true)))
+        << "ephemeral rep " << rep;
   }
+}
+
+// Eight threads send their first forward query at the same cold mapped
+// segments at once: every thread races the resolve and the segment's
+// lazily built forward index (std::call_once). All answers must match the
+// oracle, and each segment's forward index must be built exactly once.
+TEST_F(BatchFixture, ColdForwardIndexBuiltOnceUnderRace) {
+  const std::string path = ScratchDir() + "/cold_forward_race.dsl";
+  ASSERT_TRUE(log_.SaveLogStore(path).ok());
+  auto opened = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const DSLog& insitu = opened.value();
+
+  Rng rng(91);
+  const std::vector<int64_t> cells = SampleCells(shapes_[0], 6, &rng);
+  const BoxTable query =
+      BoxTable::FromCells(static_cast<int>(shapes_[0].size()), cells);
+  std::vector<RelationHop> rhops;
+  for (const ChainStep& step : chain_) rhops.push_back({&step.rel, true});
+  const int arity = static_cast<int>(shapes_.back().size());
+  const TupleSet want = ToTupleSet(UncompressedQuery(rhops, cells), arity);
+
+  metrics::Counter& builds = metrics::Registry::Global().counter(
+      "dslog.query.forward_index_builds");
+  const int64_t builds_before = builds.Value();
+  constexpr size_t kThreads = 8;
+  std::atomic<size_t> ready{0};
+  std::vector<Result<BoxTable>> got(kThreads, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[t] = insitu.ProvQuery(names_, query);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+    EXPECT_EQ(ToTupleSet(got[t].value().ExpandToCells(), arity), want);
+  }
+  EXPECT_EQ(builds.Value() - builds_before,
+            static_cast<int64_t>(chain_.size()));
 }
 
 TEST_F(BatchFixture, BatchSizeMismatchRejected) {

@@ -2,9 +2,10 @@
 // op registry, registered into DSLog catalogs and queried in situ, compared
 // cell-for-cell (expanded, deduped) against the UncompressedQuery ground
 // truth — across query direction (forward, backward, mixed), the
-// merge_between_hops and materialize_forward knobs, and single- versus
-// multi-threaded θ-join evaluation. This extends the hand-built equivalence
-// cases in query_test.cc with pipeline-level randomized coverage.
+// merge_between_hops knob, single- versus multi-threaded θ-join evaluation,
+// and the edge source (resident, OpenInSitu-mapped, mapped behind an
+// evicting cache). This extends the hand-built equivalence cases in
+// query_test.cc with pipeline-level randomized coverage.
 
 #include <set>
 #include <string>
@@ -34,10 +35,9 @@ using test_util::SampleCells;
 using test_util::ToTupleSet;
 using test_util::TupleSet;
 
-// Runs one path query against every catalog variant (in-memory, forward-
-// materialized, and the save -> OpenInSitu leg) under every knob
-// combination and compares the expanded, deduplicated cell set to the
-// oracle.
+// Runs one path query against every catalog variant (in-memory, and the
+// save -> OpenInSitu legs) under every knob combination and compares the
+// expanded, deduplicated cell set to the oracle.
 struct LogVariant {
   const DSLog* log;
   const char* name;
@@ -53,7 +53,7 @@ void ExpectMatchesOracle(const std::vector<LogVariant>& variants,
       ToTupleSet(UncompressedQuery(rhops, query_cells), result_arity);
   for (const LogVariant& variant : variants) {
     for (bool merge : {true, false}) {
-      for (int threads : {1, 4}) {
+      for (int threads : {1, 8}) {
         QueryOptions options;
         options.merge_between_hops = merge;
         options.num_threads = threads;
@@ -76,23 +76,28 @@ TEST_P(DifferentialPipelineTest, InSituMatchesUncompressedOracle) {
   ASSERT_GE(n, 2) << "pipeline generation starved, seed " << seed;
 
   DSLog plain;
-  DSLogOptions mat_options;
-  mat_options.materialize_forward = true;
-  DSLog materialized(mat_options);
   ASSERT_TRUE(RegisterDag(dag, &plain).ok());
-  ASSERT_TRUE(RegisterDag(dag, &materialized).ok());
 
-  // In-situ leg: persist the catalog as a LogStore file and serve the same
-  // queries through the mapped, lazily-decoded path (at 1 and 4 threads,
-  // like the others).
+  // In-situ legs: persist the catalog as a LogStore file and serve the same
+  // queries through the mapped, lazily-decoded path — once with the default
+  // cache, once with a 1-byte single-shard budget, where every resolve
+  // evicts the previous segment and forward hops re-resolve (and rebuild
+  // the forward index) on every query.
   const std::string store_path =
       ScratchDir() + "/differential_" + std::to_string(seed) + ".dsl";
   ASSERT_TRUE(plain.SaveLogStore(store_path).ok());
   auto insitu_opened = DSLog::OpenInSitu(store_path);
   ASSERT_TRUE(insitu_opened.ok()) << insitu_opened.status().ToString();
   const DSLog& insitu = insitu_opened.value();
-  const std::vector<LogVariant> variants = {
-      {&plain, "plain"}, {&materialized, "materialized"}, {&insitu, "insitu"}};
+  InSituOptions tiny_options;
+  tiny_options.store.cache_capacity_bytes = 1;
+  tiny_options.store.cache_shards = 1;
+  auto tiny_opened = DSLog::OpenInSitu(store_path, tiny_options);
+  ASSERT_TRUE(tiny_opened.ok()) << tiny_opened.status().ToString();
+  const DSLog& tiny = tiny_opened.value();
+  const std::vector<LogVariant> variants = {{&plain, "plain"},
+                                            {&insitu, "insitu"},
+                                            {&tiny, "insitu_tiny_cache"}};
 
   Rng rng(seed * 31 + 7);
 
@@ -138,6 +143,10 @@ TEST_P(DifferentialPipelineTest, InSituMatchesUncompressedOracle) {
                         static_cast<int>(dag.shapes.back().size()),
                         "mixed seed=" + std::to_string(seed));
   }
+  // The tiny budget really did evict and re-resolve segments.
+  const LogStoreStats tiny_stats = tiny.log_store()->stats();
+  EXPECT_GT(tiny_stats.evictions, 0);
+  EXPECT_GT(tiny_stats.decode_count, tiny_stats.segments_touched);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialPipelineTest,
@@ -254,19 +263,19 @@ TEST_P(SoAVsAosJoinTest, KernelsMatchAosOracleOnRandomPipelines) {
 
         BoxTable fwd = ForwardThetaJoin(fwd_q, table, threads);
         BoxTable want_fwd = AosForwardJoin(fwd_q, rows, l, m);
-        BoxTable fwd_mat =
-            ForwardTable::FromBackward(table).Join(fwd_q, threads);
+        BoxTable fwd_eph =
+            ForwardThetaJoin(fwd_q, table.view(), nullptr, threads);
         if (merge) {
           fwd.Merge();
           want_fwd.Merge();
-          fwd_mat.Merge();
+          fwd_eph.Merge();
         }
         EXPECT_EQ(ToTupleSet(fwd.ExpandToCells(), l),
                   ToTupleSet(want_fwd.ExpandToCells(), l))
             << label << " forward merge=" << merge << " threads=" << threads;
-        EXPECT_EQ(ToTupleSet(fwd_mat.ExpandToCells(), l),
+        EXPECT_EQ(ToTupleSet(fwd_eph.ExpandToCells(), l),
                   ToTupleSet(want_fwd.ExpandToCells(), l))
-            << label << " forward-materialized merge=" << merge
+            << label << " forward-ephemeral merge=" << merge
             << " threads=" << threads;
       }
     }

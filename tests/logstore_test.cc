@@ -18,6 +18,7 @@
 #include "array/op_registry.h"
 #include "common/hash.h"
 #include "common/io.h"
+#include "common/metrics.h"
 #include "common/mmap_file.h"
 #include "compress/varint.h"
 #include "common/random.h"
@@ -348,6 +349,50 @@ TEST(LogStoreTest, TinyCacheEvictsButStaysCorrect) {
   EXPECT_GT(stats.evictions, 0);
   // Eviction forced re-decodes on the later sweeps.
   EXPECT_GT(stats.decode_count, stats.segments_touched);
+}
+
+// The forward index is never built at resolve; the first forward View of a
+// cached segment builds it once and charges its bytes to the segment's
+// cache entry, so a budget sized for the backward entries alone evicts.
+TEST(LogStoreTest, ForwardIndexBuiltOnFirstForwardViewAndCharged) {
+  DSLog log;
+  BuildChain(&log, 0, 2, 64);
+  const std::string path = TestPath("forward_charge.dsl");
+  ASSERT_TRUE(log.SaveLogStore(path).ok());
+
+  // Both segments hold the same identity table; a borrowed segment is
+  // charged 64 bytes of bookkeeping plus its backward index.
+  const CompressedTable table = ProvRcCompress(IdentityRelation(64));
+  const int64_t backward_charge =
+      64 + table.view().BuildBackwardIndex().bytes();
+  const int64_t forward_bytes = table.view().BuildForwardIndex().bytes();
+  LogStoreOptions options;
+  options.cache_shards = 1;
+  options.cache_capacity_bytes = 2 * backward_charge + forward_bytes - 1;
+  auto store = LogStore::Open(path, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const LogStore& s = *store.value();
+
+  metrics::Counter& builds = metrics::Registry::Global().counter(
+      "dslog.query.forward_index_builds");
+  const int64_t builds_before = builds.Value();
+  auto back0 = s.View(0);
+  auto back1 = s.View(1);
+  ASSERT_TRUE(back0.ok() && back1.ok());
+  EXPECT_EQ(builds.Value(), builds_before);  // resolve builds no forward index
+  EXPECT_EQ(s.stats().evictions, 0);
+
+  auto fwd0 = s.View(0, /*forward=*/true);
+  ASSERT_TRUE(fwd0.ok());
+  EXPECT_NE(fwd0.value().index, back0.value().index);
+  EXPECT_EQ(fwd0.value().index->size(), table.num_rows());
+  EXPECT_EQ(builds.Value(), builds_before + 1);
+  EXPECT_EQ(s.stats().evictions, 1);  // the charge pushed segment 1 out
+
+  EXPECT_EQ(s.View(0, /*forward=*/true).value().index, fwd0.value().index);
+  EXPECT_EQ(builds.Value(), builds_before + 1);  // built once per resolve
+  ASSERT_TRUE(s.View(1).ok());  // evicted: resolves again
+  EXPECT_EQ(s.stats().decode_count, 3);
 }
 
 TEST(LogStoreTest, FindEdgeDecodesLazilyAndStaysValid) {

@@ -300,6 +300,36 @@ TEST(ZeroOverheadTest, UnprofiledQueryTouchesNoProfileMetrics) {
             before.CounterValue("dslog.query.count") + 1);
 }
 
+// The forward-index build metrics are recorded once per build, never per
+// probe: repeated forward queries over one table build (and count) its
+// forward index exactly once, and backward hops never build it.
+TEST(ForwardIndexMetricsTest, RepeatedForwardQueryBuildsOnce) {
+  CompressedTable table = MakeSmallTable();
+  BoxTable query(1);
+  const Interval box[1] = {{10, 40}};
+  query.AddBox(box);
+  // (builds counter, build-time histogram count)
+  const auto recorded = [] {
+    const RegistrySnapshot snap = Registry::Global().Snapshot();
+    const auto* h = snap.FindHistogram("dslog.query.forward_index_build_us");
+    return std::pair(snap.CounterValue("dslog.query.forward_index_builds"),
+                     h != nullptr ? h->count : 0);
+  };
+  const auto before = recorded();
+  const std::vector<QueryHop> backward = {QueryHop(&table, false)};
+  EXPECT_GT(InSituQuery(backward, query).num_boxes(), 0);
+  EXPECT_EQ(recorded(), before);
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::vector<QueryHop> forward = {QueryHop(&table, true)};
+    EXPECT_GT(InSituQuery(forward, query).num_boxes(), 0);
+  }
+  EXPECT_EQ(recorded(), std::pair(before.first + 1, before.second + 1));
+  // Exported with the registry (the wire kStats reply embeds this JSON).
+  EXPECT_NE(Registry::Global().Snapshot().ToJson().find(
+                "dslog.query.forward_index_build_us"),
+            std::string::npos);
+}
+
 // With counters == nullptr (every unprofiled call site) the kernels must
 // skip the planner-estimate bookkeeping entirely: a JoinCounters object
 // never passed in stays all-zero, and passing one only changes the join's

@@ -271,7 +271,6 @@ TEST(JoinPathSweepTest, BackwardJoinBitIdenticalAcrossPathsAndOracle) {
 TEST(JoinPathSweepTest, ForwardJoinBitIdenticalAcrossPaths) {
   for (int64_t rows : {257ll, 2048ll}) {
     CompressedTable table = MakeWideTable(rows, 77);
-    ForwardTable fwd = ForwardTable::FromBackward(table.view());
     for (double frac : kSelectivities) {
       // Forward queries probe the input side (3 attrs; attr 0 spans the
       // same domain as out attr 0, shifted by the relative deltas).
@@ -287,19 +286,19 @@ TEST(JoinPathSweepTest, ForwardJoinBitIdenticalAcrossPaths) {
         q.AddBox(box);
       }
       for (int num_threads : {1, 4}) {
-        const BoxTable ref_direct = ForwardThetaJoin(
-            q, table, num_threads, false, JoinPath::kIndexProbe);
-        const BoxTable ref_fwd =
-            fwd.Join(q, num_threads, false, JoinPath::kIndexProbe);
+        // The cached forward index and an ephemeral per-call index must
+        // agree bit for bit on every forced path.
+        const BoxTable ref = ForwardThetaJoin(q, table, num_threads, false,
+                                              JoinPath::kIndexProbe);
         for (JoinPath path : kForcedPaths) {
           EXPECT_TRUE(SameTable(
-              ForwardThetaJoin(q, table, num_threads, false, path),
-              ref_direct))
-              << "direct rows=" << rows << " frac=" << frac
+              ForwardThetaJoin(q, table, num_threads, false, path), ref))
+              << "cached rows=" << rows << " frac=" << frac
               << " threads=" << num_threads << " path=" << JoinPathName(path);
-          EXPECT_TRUE(
-              SameTable(fwd.Join(q, num_threads, false, path), ref_fwd))
-              << "fwd rows=" << rows << " frac=" << frac
+          EXPECT_TRUE(SameTable(ForwardThetaJoin(q, table.view(), nullptr,
+                                                 num_threads, false, path),
+                                ref))
+              << "ephemeral rows=" << rows << " frac=" << frac
               << " threads=" << num_threads << " path=" << JoinPathName(path);
         }
       }

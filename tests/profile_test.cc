@@ -117,7 +117,6 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
     EXPECT_EQ(hp.out_arr, "a" + std::to_string(step + 1));
     EXPECT_EQ(hp.op_name, "step_" + std::to_string(step));
     EXPECT_FALSE(hp.forward);
-    EXPECT_FALSE(hp.used_forward_table);
 
     // Cold columnar store: every hop resolves its segment as a zero-copy
     // borrow — no decode, no rows copied, exact on-disk byte count.

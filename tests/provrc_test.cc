@@ -64,6 +64,42 @@ TEST(ProvRcTest, PaperFigure1SumExample) {
   EXPECT_TRUE(t1.Decompress().EqualAsSet(rel));
 }
 
+TEST(CompressedTableTest, ForwardIndexCachedSharedAndInvalidated) {
+  // Row 0: out [0,3], input relative to out 0 with delta [0,0] (implied
+  // input [0,3]). Row 1: out [4,7], absolute input [10,12].
+  CompressedTable t({8}, {16});
+  const Interval out0[1] = {{0, 3}};
+  const InputCell in0[1] = {InputCell::Relative(0, {0, 0})};
+  const Interval out1[1] = {{4, 7}};
+  const InputCell in1[1] = {InputCell::Absolute({10, 12})};
+  t.AddRow(out0, in0);
+  t.AddRow(out1, in1);
+
+  std::shared_ptr<const IntervalIndex> f1 = t.ForwardIndex();
+  EXPECT_EQ(t.ForwardIndex(), f1);  // built once, then served from cache
+  EXPECT_EQ(f1->stats().min_lo, 0);
+  EXPECT_EQ(f1->stats().max_hi, 12);
+  EXPECT_NE(t.ForwardIndex(), t.BackwardIndex());
+
+  // A copy shares the built index instead of rebuilding it.
+  CompressedTable copy = t;
+  EXPECT_EQ(copy.ForwardIndex(), f1);
+
+  // set_in_iv invalidates the original's index (not the copy's).
+  t.set_in_iv(1, 0, {20, 25});
+  std::shared_ptr<const IntervalIndex> f2 = t.ForwardIndex();
+  EXPECT_NE(f2, f1);
+  EXPECT_EQ(f2->stats().max_hi, 25);
+  EXPECT_EQ(copy.ForwardIndex(), f1);
+  EXPECT_EQ(f1->stats().max_hi, 12);  // pinned holders keep the old index
+
+  // set_out_iv moves row 0's implied (relative) input interval too.
+  t.set_out_iv(0, 0, {1, 3});
+  std::shared_ptr<const IntervalIndex> f3 = t.ForwardIndex();
+  EXPECT_NE(f3, f2);
+  EXPECT_EQ(f3->stats().min_lo, 1);
+}
+
 TEST(ProvRcTest, PaperFigure2AggregateAllToOne) {
   // 4x4 -> 1x1 aggregate: the all-to-all relationship compresses to a
   // single row of full ranges (paper Fig 2).

@@ -16,6 +16,7 @@
 #include "explain/explain.h"
 #include "provrc/provrc.h"
 #include "query/query_engine.h"
+#include "query/theta_join.h"
 #include "relational/relational_ops.h"
 #include "storage/dslog.h"
 #include "storage/signatures.h"
@@ -283,38 +284,42 @@ TEST(DSLogTest, GenSigServesDifferentShape) {
   EXPECT_EQ(cells[0], 98);
 }
 
-TEST(DSLogTest, MaterializedForwardMatchesDirect) {
-  // The §IV.C forward representation must answer every query identically
-  // to the direct join over the backward representation.
+TEST(DSLogTest, CachedForwardIndexMatchesEphemeral) {
+  // Forward ProvQuery hops probe each edge's cached forward index; they
+  // must answer identically to a hop-by-hop chain of joins that build an
+  // ephemeral index per call, and to the uncompressed ground truth.
   auto wfr = BuildRandomNumpyWorkflow(4, 400, 97);
   ASSERT_TRUE(wfr.ok());
   const Workflow& wf = wfr.value();
-  DSLogOptions fwd_opts;
-  fwd_opts.materialize_forward = true;
-  DSLog direct;
-  DSLog materialized(fwd_opts);
-  for (DSLog* log : {&direct, &materialized}) {
-    for (size_t i = 0; i < wf.array_names.size(); ++i)
-      ASSERT_TRUE(log->DefineArray(wf.array_names[i], wf.shapes[i]).ok());
-    for (size_t i = 0; i < wf.steps.size(); ++i) {
-      OperationRegistration reg;
-      reg.op_name = wf.steps[i].op_name;
-      reg.in_arrs = {wf.array_names[i]};
-      reg.out_arr = wf.array_names[i + 1];
-      reg.captured = {wf.steps[i].relation};
-      ASSERT_TRUE(log->RegisterOperation(std::move(reg)).ok());
-    }
+  DSLog log;
+  for (size_t i = 0; i < wf.array_names.size(); ++i)
+    ASSERT_TRUE(log.DefineArray(wf.array_names[i], wf.shapes[i]).ok());
+  for (size_t i = 0; i < wf.steps.size(); ++i) {
+    OperationRegistration reg;
+    reg.op_name = wf.steps[i].op_name;
+    reg.in_arrs = {wf.array_names[i]};
+    reg.out_arr = wf.array_names[i + 1];
+    reg.captured = {wf.steps[i].relation};
+    ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
   }
   std::vector<std::string> path(wf.array_names.begin(), wf.array_names.end());
+  std::vector<RelationHop> rhops;
+  for (const auto& step : wf.steps) rhops.push_back({&step.relation, true});
+  const int arity = static_cast<int>(wf.shapes.back().size());
   for (int64_t cell : {int64_t{0}, int64_t{17}, int64_t{399}}) {
     BoxTable q = BoxTable::FromCells(1, {cell});
-    auto r1 = direct.ProvQuery(path, q);
-    auto r2 = materialized.ProvQuery(path, q);
-    ASSERT_TRUE(r1.ok() && r2.ok());
-    EXPECT_EQ(ToTupleSet(r1.value().ExpandToCells(),
-                         static_cast<int>(wf.shapes.back().size())),
-              ToTupleSet(r2.value().ExpandToCells(),
-                         static_cast<int>(wf.shapes.back().size())));
+    auto cached = log.ProvQuery(path, q);
+    ASSERT_TRUE(cached.ok());
+    BoxTable ephemeral = q;
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      const CompressedTable* table = log.FindEdge(path[i], path[i + 1]);
+      ASSERT_NE(table, nullptr);
+      ephemeral = ForwardThetaJoin(ephemeral, table->view(), nullptr, 1,
+                                   /*merge_result=*/true);
+    }
+    const auto want = ToTupleSet(UncompressedQuery(rhops, {cell}), arity);
+    EXPECT_EQ(ToTupleSet(cached.value().ExpandToCells(), arity), want);
+    EXPECT_EQ(ToTupleSet(ephemeral.ExpandToCells(), arity), want);
   }
 }
 
