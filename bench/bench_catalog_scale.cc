@@ -1,6 +1,7 @@
 // bench_catalog_scale: catalog-open, first-probe, and negative-probe
-// latency at 10^5-10^6 stored edges, v3 (map-indexed footer) against v4
-// (perfect-hash sealed index). The store is synthetic — a dense bipartite
+// latency at 10^5-10^6 stored edges, a store written without the footer's
+// perfect-hash index (edge lookups build the lazy name map) against the
+// default PHF-sealed store. The store is synthetic — a dense bipartite
 // edge set over ~2*sqrt(edges) arrays, every segment the same tiny
 // pre-serialized one-row columnar table — so the measurement isolates the
 // catalog index itself: footer parse + index bind at open, index probe +
@@ -62,13 +63,12 @@ SegmentPayload MakePayload() {
   return payload;
 }
 
-/// Writes a store with exactly `edges` bipartite edges under the given
-/// footer version (v3: legacy map index; v4: perfect-hash index).
+/// Writes a store with exactly `edges` bipartite edges, with or without
+/// the perfect-hash edge index.
 void BuildStore(const std::string& path, int64_t edges, int64_t side,
-                uint32_t footer_version, const SegmentPayload& payload) {
+                bool build_phf, const SegmentPayload& payload) {
   LogStoreWriterOptions options;
-  options.footer_version = footer_version;
-  options.build_phf = footer_version >= 4;
+  options.build_phf = build_phf;
   auto writer = LogStoreWriter::Create(path, options);
   DSLOG_CHECK(writer.ok()) << writer.status().ToString();
   for (int64_t i = 0; i < side; ++i) {
@@ -98,7 +98,8 @@ struct Timings {
 /// One rep: a timed open + timed first (positive) probe, then a second,
 /// untimed open whose only traffic is negative probes — asserting that
 /// absent-edge lookups resolve from the index alone, with zero segment
-/// bytes decoded and (on v4) without ever building the fallback name map.
+/// bytes decoded and (with a PHF) without ever building the fallback name
+/// map.
 Timings MeasureOnce(const std::string& path, int64_t side) {
   Timings t;
   {
@@ -132,7 +133,7 @@ Timings MeasureOnce(const std::string& path, int64_t side) {
         << "negative probes touched " << stats.decode_count << " segment(s)";
     if (store->edge_index_kind() == LogStore::EdgeIndexKind::kPhf)
       DSLOG_CHECK(!store->name_index_built())
-          << "v4 store built the fallback name map";
+          << "PHF store built the fallback name map";
   }
   return t;
 }
@@ -161,16 +162,17 @@ int Main(int argc, char** argv) {
               static_cast<long long>(edges), static_cast<long long>(side),
               static_cast<long long>(side), reps);
   PrintRule(96);
-  std::printf("%-4s %14s %16s %18s %14s %14s\n", "ver", "open_us",
+  std::printf("%-8s %14s %16s %18s %14s %14s\n", "index", "open_us",
               "first_probe_us", "negative_probe_us", "file_bytes",
               "bits/key");
   PrintRule(96);
 
-  double open_first[2] = {0, 0};  // v3, v4 means of open + first probe
-  for (uint32_t version : {3u, 4u}) {
+  double open_first[2] = {0, 0};  // lazy map, PHF: open + first probe
+  for (bool build_phf : {false, true}) {
     const std::string path =
-        ScratchDir() + Format("/bench_catalog_scale_v%u.dsl", version);
-    BuildStore(path, edges, side, version, payload);
+        ScratchDir() +
+        Format("/bench_catalog_scale_%s.dsl", build_phf ? "phf" : "map");
+    BuildStore(path, edges, side, build_phf, payload);
 
     Timings mean;
     for (int r = 0; r < reps; ++r) {
@@ -179,7 +181,7 @@ int Main(int argc, char** argv) {
       mean.first_probe_us += t.first_probe_us / reps;
       mean.negative_probe_us += t.negative_probe_us / reps;
     }
-    open_first[version - 3] = mean.open_us + mean.first_probe_us;
+    open_first[build_phf ? 1 : 0] = mean.open_us + mean.first_probe_us;
 
     auto store = LogStore::Open(path);
     DSLOG_CHECK(store.ok()) << store.status().ToString();
@@ -196,12 +198,12 @@ int Main(int argc, char** argv) {
         store.value()->edge_index_kind() == LogStore::EdgeIndexKind::kPhf;
     const double bits_per_key = store.value()->index_bits_per_key();
 
-    std::printf("v%-3u %14.1f %16.1f %18.3f %14lld %14.2f\n", version,
-                mean.open_us, mean.first_probe_us, mean.negative_probe_us,
-                static_cast<long long>(file_bytes), bits_per_key);
+    std::printf("%-8s %14.1f %16.1f %18.3f %14lld %14.2f\n",
+                phf ? "phf" : "lazy_map", mean.open_us, mean.first_probe_us,
+                mean.negative_probe_us, static_cast<long long>(file_bytes),
+                bits_per_key);
 
     json.Add()
-        .Str("version", Format("v%u", version))
         .Str("index_kind", phf ? "phf" : "lazy_map")
         .Num("edges", static_cast<double>(edges))
         .Num("reps", reps)
@@ -221,7 +223,8 @@ int Main(int argc, char** argv) {
       open_first[1] > 0 ? open_first[0] / open_first[1] : 0.0;
   json.TopNum("open_first_probe_speedup", speedup);
   PrintRule(96);
-  std::printf("v4 open+first-probe speedup over v3: %.1fx\n", speedup);
+  std::printf("PHF open+first-probe speedup over the lazy map: %.1fx\n",
+              speedup);
   return 0;
 }
 

@@ -1,11 +1,11 @@
-// dslog_inspect: dumps the structure of a LogStore file — header/version,
-// array catalog, per-segment edge index (layout version, row count,
+// dslog_inspect: dumps the structure of a LogStore file — header, array
+// catalog, edge index kind, per-segment edge index (layout, row count,
 // bytes/row, offset, size, checksum verification), and footer totals.
-// Mixed-version stores (v1 ProvRC-GZip segments next to v2 columnar ones)
-// show per-layout subtotals, so "which edges still pay a gunzip" is
-// answerable at a glance. Row counts ride in v2 footers; for segments
-// written before that field the tool decodes the segment once to count
-// (marked with '*').
+// Mixed-layout stores (ProvRC-GZip segments next to columnar ones) show
+// per-layout subtotals, so "which edges still pay a gunzip" is answerable
+// at a glance. Row counts ride in the footer; for a segment whose record
+// carries none (raw-shuttled without a count) the tool decodes the segment
+// once to count (marked with '*').
 //
 //   ./dslog_inspect <log.dsl>
 //
@@ -75,9 +75,9 @@ std::string BuildDemoStore() {
 }
 
 /// Row count of a segment: from the footer when recorded, otherwise by
-/// decoding the segment once (v1 footers predate the field).
+/// decoding the segment once (raw-shuttled segments may carry no count).
 int64_t SegmentRows(const LogStore& store, size_t id, bool* decoded) {
-  const LogStore::SegmentInfo& seg = store.segments()[id];
+  const LogStore::SegmentInfo seg = store.segment_info(id);
   *decoded = false;
   if (seg.row_count >= 0) return seg.row_count;
   auto table = store.Table(id);
@@ -101,11 +101,11 @@ int RunTracedQuery(const std::string& path,
   if (query_path.empty()) {
     // Default: one backward hop over the store's first segment.
     auto store = log.log_store();
-    if (store == nullptr || store->segments().empty()) {
+    if (store == nullptr || store->segment_count() == 0) {
       std::fprintf(stderr, "store has no segments; pass --query A B ...\n");
       return 1;
     }
-    const LogStore::SegmentInfo& seg = store->segments().front();
+    const LogStore::SegmentInfo seg = store->segment_info(0);
     query_path = {seg.out_arr, seg.in_arr};
   }
   auto shape = log.ArrayShape(query_path.front());
@@ -173,13 +173,12 @@ int main(int argc, char** argv) {
   const LogStore& store = *opened.value();
 
   std::printf("LogStore %s\n", path.c_str());
-  std::printf("  format version : %u\n", store.format_version());
   std::printf("  file size      : %s\n",
               HumanBytes(store.file_size()).c_str());
   std::printf("  backed by      : %s\n",
               store.mapped() ? "mmap" : "heap read fallback");
   std::printf("  arrays         : %zu\n", store.arrays().size());
-  std::printf("  segments       : %zu\n", store.segments().size());
+  std::printf("  segments       : %zu\n", store.segment_count());
   if (store.edge_index_kind() == LogStore::EdgeIndexKind::kPhf)
     std::printf("  edge index     : perfect-hash (%.2f bits/key, %u-bit "
                 "fingerprints)\n",
@@ -202,9 +201,10 @@ int main(int argc, char** argv) {
   int64_t layout_bytes[2] = {0, 0};
   int layout_count[2] = {0, 0};
   int corrupt = 0;
-  for (size_t i = 0; i < store.segments().size(); ++i) {
-    const LogStore::SegmentInfo& seg = store.segments()[i];
-    const bool ok = Hash64(store.SegmentView(i)) == seg.checksum;
+  for (size_t i = 0; i < store.segment_count(); ++i) {
+    const LogStore::SegmentInfo seg = store.segment_info(i);
+    const auto bytes = store.SegmentView(i);
+    const bool ok = bytes.ok() && Hash64(bytes.value()) == seg.checksum;
     if (!ok) ++corrupt;
     total_bytes += static_cast<int64_t>(seg.length);
     const int slot = seg.layout == SegmentLayout::kColumnar ? 1 : 0;
@@ -226,11 +226,11 @@ int main(int argc, char** argv) {
       std::snprintf(per_row, sizeof per_row, "-");
     std::printf("  %4zu %-14s %-14s %-14s %-9s %9s %10llu %9s %9s\n", i,
                 seg.in_arr.c_str(), seg.out_arr.c_str(), seg.op_name.c_str(),
-                slot == 1 ? "v2-col" : "v1-gzip", rows_text,
+                slot == 1 ? "columnar" : "gzip", rows_text,
                 static_cast<unsigned long long>(seg.length), per_row,
                 ok ? "ok" : "MISMATCH");
   }
-  std::printf("\ntotals: %s of segments (%d v1-gzip: %s, %d v2-columnar: %s)",
+  std::printf("\ntotals: %s of segments (%d gzip: %s, %d columnar: %s)",
               HumanBytes(total_bytes).c_str(), layout_count[0],
               HumanBytes(layout_bytes[0]).c_str(), layout_count[1],
               HumanBytes(layout_bytes[1]).c_str());

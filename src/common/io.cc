@@ -42,7 +42,7 @@ void SetAtomicWriteCrashHook(
 
 Status WriteFileAtomic(const std::string& path, const std::string& data) {
   // pid + process-wide counter: concurrent writers of the same path (e.g.
-  // two threads saving one catalog directory) get distinct temp files, so
+  // two threads saving one LogStore file) get distinct temp files, so
   // their writes cannot interleave into the published file.
   static std::atomic<uint64_t> counter{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
@@ -102,13 +102,6 @@ Result<int64_t> FileSize(const std::string& path) {
   auto sz = fs::file_size(path, ec);
   if (ec) return Status::IOError("file_size failed: " + path);
   return static_cast<int64_t>(sz);
-}
-
-Status CreateDirs(const std::string& path) {
-  std::error_code ec;
-  fs::create_directories(path, ec);
-  if (ec) return Status::IOError("create_directories failed: " + path);
-  return Status::OK();
 }
 
 Status RemoveFileIfExists(const std::string& path) {

@@ -37,9 +37,6 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// Size in bytes of the file at `path`.
 Result<int64_t> FileSize(const std::string& path);
 
-/// Creates directory `path` (and parents). OK if it already exists.
-Status CreateDirs(const std::string& path);
-
 /// Removes a file if it exists; OK when absent.
 Status RemoveFileIfExists(const std::string& path);
 

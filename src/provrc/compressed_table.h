@@ -64,7 +64,7 @@ struct CompressedRow {
 
 /// Non-owning columnar view of a compressed table: the scan format of the
 /// θ-join kernels. Backed either by a CompressedTable's arenas (view())
-/// or borrowed directly from an mmap'd v2 LogStore segment whose on-disk
+/// or borrowed directly from an mmap'd columnar LogStore segment whose on-disk
 /// bytes *are* this layout. The backing storage must outlive the view
 /// (query hops carry a pin for lazily-decoded segments).
 struct CompressedTableView {

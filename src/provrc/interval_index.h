@@ -42,7 +42,7 @@ enum class AccessPath : uint8_t {
 };
 
 /// Summary statistics of one interval column (the θ-join probe column).
-/// Computed exactly at index build time, persisted per segment in v3
+/// Computed exactly at index build time, persisted per segment in
 /// LogStore footers, and consumed by the join planner's cost model.
 struct IntervalColumnStats {
   int64_t row_count = -1;  // -1 = unknown

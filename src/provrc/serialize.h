@@ -4,10 +4,10 @@
 //  - PRC1 (varint): the compact encoding of Table VII — zigzag varint
 //    interval cells with per-attribute cross-row delta coding. The plain
 //    form is the paper's "ProvRC"; Deflate-wrapped it is "ProvRC-GZip"
-//    (the v1 LogStore segment payload). Always decodes to an owned table.
+//    (the kProvRcGzip LogStore segment). Always decodes to an owned table.
 //  - PRC2 (columnar): a flat little-endian image of the SoA arenas — the
-//    exact in-memory scan format of the θ-join kernels. A v2 LogStore
-//    segment in this layout is queried zero-copy: BorrowColumnarTable
+//    exact in-memory scan format of the θ-join kernels. A kColumnar
+//    LogStore segment is queried zero-copy: BorrowColumnarTable
 //    returns a CompressedTableView aliasing the mapped bytes, no decode,
 //    no per-row allocation. Bigger on disk than PRC1; that trade (bytes
 //    for scan latency) is the point.

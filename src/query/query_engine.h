@@ -49,7 +49,7 @@ struct QueryHop {
   /// so a concurrent eviction cannot free it mid-query.
   std::shared_ptr<const void> pin;
   /// Output-attribute-0 interval-column stats for the join planner,
-  /// available without touching the segment bytes (v3 LogStore footers
+  /// available without touching the segment bytes (LogStore footers
   /// carry them). Backward hops only — a forward hop probes a different
   /// column, so its planner uses the forward index's own exact stats.
   /// Default (invalid) falls back to the hop index's exact stats.
@@ -69,7 +69,7 @@ struct HopProfile {
   // --- segment resolution (LogStore-backed hops only) ---
   bool from_store = false;  // hop resolved through a LogStore segment
   bool cache_hit = false;   // served from the decode LRU, no resolve paid
-  bool borrowed = false;    // v2 zero-copy borrow (no decode, no copy)
+  bool borrowed = false;    // columnar zero-copy borrow (no decode/copy)
   int64_t segment_bytes = 0;        // on-disk segment length
   int64_t bytes_decompressed = 0;   // gzip input consumed by this resolve
   int64_t rows_materialized = 0;    // rows copied into owned arenas

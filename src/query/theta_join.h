@@ -4,7 +4,7 @@
 //
 // All kernels scan the flat columnar layout through a CompressedTableView,
 // so they run identically over an owned table and over bytes borrowed from
-// an mmap'd v2 LogStore segment (true in-situ). Both joins are
+// an mmap'd columnar LogStore segment (true in-situ). Both joins are
 // index-backed: a per-table sorted interval index over the probe column
 // (provrc/interval_index.h) prunes candidate rows to the probe's overlap
 // set instead of scanning — pass the table's cached index, or let the
@@ -25,7 +25,7 @@
 // index — pruned tree probe, SIMD sorted sweep, or SIMD full scan
 // (provrc/interval_index.h). The default kAuto asks the cost-based planner
 // (query/join_planner.h) per probe, using the hop's interval-column stats
-// (v3 LogStore footers carry them per segment; otherwise the index's own
+// (LogStore footers carry them per segment; otherwise the index's own
 // exact stats). All paths emit candidates in the same order, so the result
 // is bit-identical whatever the planner (or a forced path) picks.
 
@@ -100,7 +100,7 @@ struct JoinCounters {
 /// Backward θ-join: query boxes over output attributes -> input-cell boxes.
 /// `index` is the table's out-attr-0 interval index; pass nullptr to have
 /// the kernel build an ephemeral one for this call. `stats` are the probe
-/// column's stats for the planner (e.g. from the segment's v3 footer
+/// column's stats for the planner (e.g. from the segment's footer
 /// entry); nullptr or invalid stats fall back to the index's own.
 BoxTable BackwardThetaJoin(const BoxTable& query,
                            const CompressedTableView& table,

@@ -6,16 +6,13 @@
 //   +------------------+ offset 8
 //   | segment 0        |  one serialized CompressedTable per stored edge,
 //   | segment 1        |  back to back; two layouts coexist in one file:
-//   | ...              |    v1 = ProvRC-GZip (compact, decode-to-owned)
-//   |                  |    v2 = PRC2 columnar (8-aligned; the on-disk
-//   |                  |         bytes are the kernels' scan format)
+//   | ...              |    kProvRcGzip = ProvRC-GZip (compact,
+//   |                  |                  decode-to-owned)
+//   |                  |    kColumnar   = PRC2 columnar (8-aligned; the
+//   |                  |                  on-disk bytes are the kernels'
+//   |                  |                  scan format)
 //   +------------------+ footer_offset
-//   | footer           |  footer version 1-3: varint-coded — format
-//   |                  |  version, array catalog, edge index (names, op,
-//   |                  |  offset, length, FNV-64 checksum, layout, row
-//   |                  |  count, planner stats per segment), predictor blob
-//   |                  |
-//   |                  |  footer version 4 (8-aligned in the file): the
+//   | footer           |  footer version 4 (8-aligned in the file): the
 //   |                  |  varint prelude (version, array catalog, predictor
 //   |                  |  blob), zero-padding to 8, then a flat index read
 //   |                  |  in place with zero deserialization —
@@ -34,8 +31,9 @@
 //
 // A reader maps the file once (mmap, with a whole-file read fallback) and
 // parses only the footer; segments resolve lazily on first touch through a
-// size-bounded LRU cache. A v1 segment decompresses into an owned table;
-// a v2 segment is *borrowed*: the cache entry holds a CompressedTableView
+// size-bounded LRU cache. A kProvRcGzip segment decompresses into an owned
+// table; a kColumnar segment is *borrowed*: the cache entry holds a
+// CompressedTableView
 // aliasing the mapped bytes plus the backward-join interval index — zero
 // bytes decompressed, zero rows materialized (LogStoreStats counts both).
 // The forward-join index is built on the entry's first forward hop only,
@@ -43,17 +41,18 @@
 // entry's cache shard when it is built.
 // Segment checksums are verified at first touch (and the footer checksum
 // at open), turning any flipped byte or truncation into Status::Corruption
-// instead of UB. Version-4 footers checksum with the wide 8-byte-lane hash
-// (hash.h Hash64Wide) so open stays fast on million-edge catalogs; varint
-// footers keep the original byte-wise FNV for compatibility.
+// instead of UB. The footer checksums with the wide 8-byte-lane hash
+// (hash.h Hash64Wide) so open stays fast on million-edge catalogs. A
+// footer of any version other than 4 is rejected as Corruption.
 //
-// Edge lookup: a v4 reader binds a PhfView over the footer's PHF block —
+// Edge lookup: the reader binds a PhfView over the footer's PHF block —
 // O(1) per probe, the per-key fingerprint rejects absent edges before any
 // record or segment byte is read, and a candidate hit is confirmed against
 // the name heap so a false fingerprint match can never serve a wrong
-// segment. v1-v3 files (and v4 opened with use_phf_index=false) fall back
-// to an edge-name map built lazily on the first name lookup, so
-// stats()-only and id-addressed opens never pay for it.
+// segment. A file whose PHF block is empty (written with build_phf=false,
+// or after a failed PHF build) falls back to an edge-name map built lazily
+// on the first name lookup, so stats()-only and id-addressed opens never
+// pay for it.
 //
 // Thread-safety: LogStore is safe for concurrent readers. The decode cache
 // is lock-striped: segments map to cache_shards shards (id mod shard
@@ -96,8 +95,8 @@
 namespace dslog {
 
 /// Canonical map key for an edge in_arr -> out_arr, shared by the DSLog
-/// catalog, the legacy directory format, and the LogStoreWriter index —
-/// one scheme, so dedup/replace decisions always agree.
+/// catalog and the LogStoreWriter index — one scheme, so dedup/replace
+/// decisions always agree.
 inline std::string EdgeStoreKey(std::string_view in_arr,
                                 std::string_view out_arr) {
   std::string key;
@@ -109,7 +108,7 @@ inline std::string EdgeStoreKey(std::string_view in_arr,
 }
 
 /// FNV-64 of EdgeStoreKey(in_arr, out_arr) computed piecewise — no key
-/// string is ever materialized. This is the key hash the v4 PHF index is
+/// string is ever materialized. This is the key hash the PHF index is
 /// built over; writer and reader must agree on it byte for byte.
 inline uint64_t EdgeKeyHash(std::string_view in_arr,
                             std::string_view out_arr) {
@@ -119,7 +118,7 @@ inline uint64_t EdgeKeyHash(std::string_view in_arr,
 }
 
 /// Exact output-attribute-0 interval-column stats of a table — one strided
-/// pass. Writers stamp these into v3 footers so readers can plan θ-joins
+/// pass. Writers stamp these into footers so readers can plan θ-joins
 /// against a segment without resolving it.
 IntervalColumnStats ComputeOut0Stats(const CompressedTable& table);
 
@@ -135,10 +134,9 @@ enum class SegmentLayout : uint32_t {
 
 struct LogStoreOptions {
   /// Budget for resolved segments kept resident (approximate bytes: decoded
-  /// tables for v1, interval indexes — backward, and forward once built —
-  /// for borrowed v2 views). Least-recently-
-  /// used segments are evicted past it; in-flight queries keep their pinned
-  /// entries alive regardless.
+  /// gzip tables, and interval indexes — backward, and forward once built).
+  /// Least-recently-used segments are evicted past it; in-flight queries
+  /// keep their pinned entries alive regardless.
   int64_t cache_capacity_bytes = 64ll << 20;
   /// Verify the per-segment FNV-64 checksum before first use of a segment.
   bool verify_checksums = true;
@@ -151,10 +149,6 @@ struct LogStoreOptions {
   /// on tiny budgets). Clamped to >= 1; 1 reproduces the old single-lock
   /// cache (contention tests sweep this).
   int cache_shards = 8;
-  /// Bind the v4 footer's minimal-perfect-hash edge index at Open. false
-  /// forces the lazy name-map fallback even on v4 files — compat testing
-  /// and a kill switch; results must be identical either way.
-  bool use_phf_index = true;
 };
 
 /// Decode/cache counters (test + bench observability). This is the
@@ -172,16 +166,16 @@ struct LogStoreStats {
   int64_t segments_touched = 0;
   /// Total cache-fill events (>= segments_touched when eviction re-fills).
   int64_t decode_count = 0;
-  /// Compressed bytes consumed by gzip decodes (0 on a pure-v2 store).
+  /// Compressed bytes consumed by gzip decodes (0 on a pure-columnar store).
   int64_t bytes_decompressed = 0;
-  /// Cache fills that built an owned CompressedTable (v1 decodes and v2
-  /// alignment fallbacks).
+  /// Cache fills that built an owned CompressedTable (gzip decodes and
+  /// columnar alignment fallbacks).
   int64_t tables_materialized = 0;
-  /// Rows copied into owned arenas by those fills. A zero-copy v2 path
+  /// Rows copied into owned arenas by those fills. A zero-copy columnar path
   /// query keeps this at 0 — the acceptance signal that no per-row data
   /// was allocated in the decode path.
   int64_t rows_materialized = 0;
-  /// Cache fills that borrowed a v2 view straight from the mapping.
+  /// Cache fills that borrowed a columnar view straight from the mapping.
   int64_t segments_borrowed = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -199,12 +193,12 @@ class LogStore {
     uint64_t length = 0;
     uint64_t checksum = 0;  // FNV-64 over the segment bytes
     SegmentLayout layout = SegmentLayout::kProvRcGzip;
-    int64_t row_count = -1;  // -1 = unknown (v1 footers predate the field)
-    /// Output-attribute-0 interval-column stats (v3 footers): the join
-    /// planner's cost-model inputs, readable without touching the segment
-    /// bytes. Invalid (default) on pre-v3 footers and on raw-shuttled
-    /// segments whose source had no stats — the planner then falls back
-    /// to the resolved index's exact stats.
+    int64_t row_count = -1;  // -1 = unknown
+    /// Output-attribute-0 interval-column stats: the join planner's
+    /// cost-model inputs, readable without touching the segment bytes.
+    /// Invalid (default) on raw-shuttled segments whose source had no
+    /// stats, and on records whose stats are inconsistent — the planner
+    /// then falls back to the resolved index's exact stats.
     IntervalColumnStats out0_stats;
   };
 
@@ -226,12 +220,12 @@ class LogStore {
     return arrays_;
   }
 
-  /// Number of indexed segments. O(1) for every footer version.
+  /// Number of indexed segments. O(1).
   size_t segment_count() const { return num_segments_; }
 
-  /// Metadata of segment `id` by value. v1-v3: a copy of the parsed entry.
-  /// v4: decoded on the fly from the footer's flat record (three short
-  /// string copies) — use the field-level accessors below on hot paths.
+  /// Metadata of segment `id` by value, decoded on the fly from the
+  /// footer's flat record (three short string copies) — use the
+  /// field-level accessors below on hot paths.
   SegmentInfo segment_info(size_t id) const;
 
   /// On-disk byte length of segment `id` without materializing names.
@@ -240,17 +234,12 @@ class LogStore {
   /// Join-planner stats of segment `id` without materializing names.
   IntervalColumnStats segment_out0_stats(size_t id) const;
 
-  /// All segment metadata. v1-v3: the eagerly parsed vector. v4: built on
-  /// first call (one pass over the flat records) — conversion, save and
-  /// inspect convenience, not a query path.
-  const std::vector<SegmentInfo>& segments() const;
-
   /// Segment id of edge in_arr -> out_arr, or -1 when the store holds no
-  /// such edge. v4 + PHF: one hash, one O(1) PHF probe, one name memcmp —
-  /// the fingerprint rejects absent edges before any record bytes are
+  /// such edge. With a PHF: one hash, one O(1) PHF probe, one name memcmp
+  /// — the fingerprint rejects absent edges before any record bytes are
   /// touched, and the name check means a fingerprint false positive can
-  /// never return a wrong segment. Fallback (v1-v3, or use_phf_index
-  /// false): an owned edge-name map built lazily on the first call.
+  /// never return a wrong segment. Fallback (empty PHF block): an owned
+  /// edge-name map built lazily on the first call.
   Result<int64_t> FindSegmentId(std::string_view in_arr,
                                 std::string_view out_arr) const;
 
@@ -281,48 +270,49 @@ class LogStore {
   /// cache-hit path fills only the booleans/bytes.
   struct ViewEvent {
     bool cache_hit = false;
-    bool borrowed = false;             // v2 zero-copy borrow
+    bool borrowed = false;             // columnar zero-copy borrow
     int64_t segment_bytes = 0;         // on-disk segment length
-    int64_t bytes_decompressed = 0;    // gzip input consumed (0 on hit/v2)
+    int64_t bytes_decompressed = 0;    // gzip input consumed (0 on hit/borrow)
     int64_t rows_materialized = 0;     // rows copied into owned arenas
     int64_t resolve_us = 0;            // checksum + decode + index build
   };
 
-  /// The scan view of segment `id`, resolving on first touch (gzip decode
-  /// for v1, zero-copy borrow for v2) and serving repeats from the LRU
-  /// cache. This is the query path. `forward` selects the index handed
-  /// out: the backward-join index (built at resolve) or the forward-join
-  /// index (built once per resolution, on the first forward request, and
-  /// charged to the cache budget). `ev`, when non-null, receives how this
-  /// call resolved (profiled queries thread it into their HopProfile).
+  /// The scan view of segment `id`, resolving on first touch (gzip decode,
+  /// or a zero-copy borrow for a columnar segment) and serving repeats
+  /// from the LRU cache. This is the query path. `forward` selects the
+  /// index handed out: the backward-join index (built at resolve) or the
+  /// forward-join index (built once per resolution, on the first forward
+  /// request, and charged to the cache budget). `ev`, when non-null,
+  /// receives how this call resolved (profiled queries thread it into
+  /// their HopProfile).
   Result<PinnedTable> View(size_t id, bool forward = false,
                            ViewEvent* ev = nullptr) const;
 
-  /// The segment as an owned CompressedTable (bench/test hook and legacy
-  /// transcodes). v1 serves the cached decode; v2 materializes a fresh
+  /// The segment as an owned CompressedTable (bench/test hook). A gzip
+  /// segment serves the cached decode; a columnar one materializes a fresh
   /// owned copy per call — query code should use View().
   Result<std::shared_ptr<const CompressedTable>> Table(size_t id) const;
 
   /// Raw (still-serialized) bytes of segment `id` — zero-copy view into
-  /// the mapping. Lets converters/appenders shuttle segments without a
-  /// decode/re-encode round trip.
-  std::string_view SegmentView(size_t id) const;
+  /// the mapping. Lets savers/appenders shuttle segments without a
+  /// decode/re-encode round trip. Corruption when the record's extent
+  /// lies outside the file (the footer checksum cannot vouch for it).
+  Result<std::string_view> SegmentView(size_t id) const;
 
   LogStoreStats stats() const;
 
   const std::string& path() const { return path_; }
   int64_t file_size() const { return static_cast<int64_t>(file_.size()); }
-  uint32_t format_version() const { return format_version_; }
   bool mapped() const { return file_.mapped(); }
 
  private:
   LogStore() = default;
 
-  /// One cached resolution: `table` owns the arenas for v1 decodes (null
-  /// for v2 borrows, whose view aliases the mapping), `index` is always
-  /// built. `forward_index` is built at most once, on the first forward
-  /// View() of this resolution (an evicted and re-resolved segment builds
-  /// a fresh one). Handed out via shared_ptr so pins survive eviction.
+  /// One cached resolution: `table` owns the arenas for gzip decodes
+  /// (null for columnar borrows, whose view aliases the mapping), `index`
+  /// is always built. `forward_index` is built at most once, on the first
+  /// forward View() of this resolution (an evicted and re-resolved segment
+  /// builds a fresh one). Handed out via shared_ptr so pins survive eviction.
   struct ResolvedSegment {
     std::shared_ptr<const CompressedTable> table;
     CompressedTableView view;
@@ -387,33 +377,20 @@ class LogStore {
   /// never the most recent one. Caller holds shard.mu.
   void EvictOverBudget(CacheShard& shard) const;
 
-  /// v4 flat-record field reads (memcpy-based: the heap-read fallback has
-  /// no alignment guarantee).
-  uint64_t RecU64(size_t id, size_t field_offset) const;
-  int64_t RecI64(size_t id, size_t field_offset) const;
-  uint32_t RecU32(size_t id, size_t field_offset) const;
-  /// Name-heap views of a v4 record. false when the record's name extent
-  /// falls outside the heap — impossible on a checksum-verified footer,
-  /// surfaced as Corruption rather than UB if it ever happens.
-  bool SegNames(size_t id, std::string_view* in_arr, std::string_view* out_arr,
-                std::string_view* op_name) const;
+  /// First byte of segment `id`'s flat footer record.
+  const char* Rec(size_t id) const;
   /// Builds the lazy fallback name map (first name lookup only).
   void BuildNameMap() const;
 
   std::string path_;
   MmapFile file_;
   LogStoreOptions options_;
-  uint32_t format_version_ = 0;
   std::map<std::string, std::vector<int64_t>> arrays_;
   size_t num_segments_ = 0;
-  /// v1-v3: filled at Open. v4: materialized lazily by segments() from the
-  /// flat records (guarded by segments_once_; immutable afterwards).
-  mutable std::vector<SegmentInfo> segments_;
-  mutable std::once_flag segments_once_;
-  /// v4 footer views into the mapped file (empty on v1-v3).
+  /// Footer views into the mapped file.
   std::string_view seg_records_;
   std::string_view name_heap_;
-  /// Bound PHF edge index (v4 with use_phf_index; empty block -> disabled).
+  /// Bound PHF edge index (empty block -> disabled).
   PhfView phf_;
   bool phf_enabled_ = false;
   /// Lazy fallback edge-name map: EdgeStoreKey -> segment id. Built at
@@ -438,11 +415,7 @@ class LogStore {
 };
 
 struct LogStoreWriterOptions {
-  /// Footer version Finish() seals with. 4 (default) writes the flat
-  /// PHF-indexed footer; 3 writes the legacy varint footer for compat
-  /// testing and A/B benches. Reading is always version-agnostic.
-  uint32_t footer_version = 4;
-  /// Build the minimal-perfect-hash edge index into v4 footers. When off
+  /// Build the minimal-perfect-hash edge index into the footer. When off
   /// (or if construction fails, e.g. a 64-bit key-hash collision) the
   /// footer carries an empty PHF block and readers use the lazy map.
   bool build_phf = true;
@@ -459,8 +432,6 @@ class LogStoreWriter {
   /// Opens an existing store for incremental append: prior arrays, edges,
   /// and predictor state are retained; new segments are written over the
   /// old footer and a fresh footer/trailer seals the file in Finish().
-  /// The sealed footer version is options.footer_version regardless of
-  /// what the file carried — appending to a v3 store reseals it as v4.
   static Result<LogStoreWriter> OpenForAppend(
       std::string path, const LogStoreWriterOptions& options = {});
 
@@ -486,7 +457,7 @@ class LogStoreWriter {
                     SegmentLayout layout = SegmentLayout::kColumnar);
 
   /// Same, but with pre-serialized segment bytes in `layout` (e.g. another
-  /// store's SegmentView or a legacy gzip edge file) — no decode/re-encode.
+  /// store's SegmentView) — no decode/re-encode.
   /// `row_count` and `out0_stats` are carried into the footer (-1 = unknown
   /// count; default-invalid stats when the source carried none).
   Status AppendRawSegment(const std::string& in_arr,

@@ -1,14 +1,18 @@
 // LogStore subsystem tests: the single-file on-disk format (round trip,
-// incremental append, legacy-directory conversion), the lazy in-situ query
-// path (decode counters, LRU bounds, concurrent readers), the mmap
-// abstraction with its read fallback, and corruption handling (flipped
-// segment bytes, truncated footers — every failure must surface as
-// Status::Corruption, never UB; the CI ASan job runs this whole suite).
+// incremental append), the lazy in-situ query path (decode counters, LRU
+// bounds, concurrent readers), the mmap abstraction with its read
+// fallback, and corruption handling (flipped segment bytes, truncated
+// footers, unsupported footer versions, patched footer records — every
+// failure must surface as Status::Corruption, never UB; the CI ASan job
+// runs this whole suite).
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -93,6 +97,17 @@ std::vector<std::string> ChainPath(int from, int to) {
   return path;
 }
 
+/// Footer record of edge in_arr -> out_arr in the store at `path` (a
+/// default record, length 0, when the store holds no such edge).
+LogStore::SegmentInfo SegmentOf(const std::string& path,
+                                std::string_view in_arr,
+                                std::string_view out_arr) {
+  std::unique_ptr<LogStore> store = LogStore::Open(path).ValueOrDie();
+  const int64_t id = store->FindSegmentId(in_arr, out_arr).ValueOrDie();
+  return id < 0 ? LogStore::SegmentInfo{}
+                : store->segment_info(static_cast<size_t>(id));
+}
+
 // ---------------------------------------------------------------- MmapFile --
 
 TEST(MmapFileTest, MapsAndFallsBackIdentically) {
@@ -168,7 +183,8 @@ TEST(LogStoreTest, RoundTripMatchesInMemoryCatalog) {
     ASSERT_NE(store, nullptr);
     EXPECT_TRUE(store->mapped());
     EXPECT_EQ(store->stats().segment_count, 8);
-    for (const auto& seg : store->segments()) {
+    for (size_t id = 0; id < store->segment_count(); ++id) {
+      const LogStore::SegmentInfo seg = store->segment_info(id);
       EXPECT_EQ(seg.layout, layout);
       EXPECT_GT(seg.row_count, 0);
     }
@@ -197,7 +213,7 @@ TEST(LogStoreTest, ReadFallbackServesIdenticalResults) {
 // ------------------------------------------------------------- lazy decode --
 
 TEST(LogStoreTest, BackwardQueryDecodesUnderTenPercentOfSegments) {
-  // The v1 (ProvRC-GZip) leg: on a >= 500-edge catalog, a backward path
+  // The ProvRC-GZip leg: on a >= 500-edge catalog, a backward path
   // query must decode only the segments on its path (< 10% of the log).
   // Also the compatibility guarantee that gzip stores keep opening and
   // querying through OpenInSitu now that columnar is the write default.
@@ -234,7 +250,7 @@ TEST(LogStoreTest, BackwardQueryDecodesUnderTenPercentOfSegments) {
 }
 
 TEST(LogStoreTest, ColumnarQueryIsZeroCopy) {
-  // The acceptance bar for the columnar layout: a path query over a v2
+  // The acceptance bar for the columnar layout: a path query over a columnar
   // store borrows its segments straight from the mapping — zero bytes
   // decompressed and zero rows materialized into owned arenas (no per-row
   // allocation anywhere in the decode path), with only the path's
@@ -273,7 +289,7 @@ TEST(LogStoreTest, ColumnarQueryIsZeroCopy) {
 
 TEST(LogStoreTest, MixedLayoutStoreServesBothSegmentKinds) {
   // A gzip store extended by a columnar append is a legitimate mixed-
-  // version file: old segments keep decoding, new ones borrow, and the
+  // layout file: old segments keep decoding, new ones borrow, and the
   // footer records which is which.
   DSLog log;
   BuildChain(&log, 0, 4, 16);
@@ -285,15 +301,16 @@ TEST(LogStoreTest, MixedLayoutStoreServesBothSegmentKinds) {
   auto opened = DSLog::OpenInSitu(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const DSLog& insitu = opened.value();
-  int v1 = 0, v2 = 0;
-  for (const auto& seg : insitu.log_store()->segments()) {
-    if (seg.layout == SegmentLayout::kProvRcGzip)
-      ++v1;
+  int gzip = 0, columnar = 0;
+  for (size_t id = 0; id < insitu.log_store()->segment_count(); ++id) {
+    if (insitu.log_store()->segment_info(id).layout ==
+        SegmentLayout::kProvRcGzip)
+      ++gzip;
     else
-      ++v2;
+      ++columnar;
   }
-  EXPECT_EQ(v1, 4);
-  EXPECT_EQ(v2, 4);
+  EXPECT_EQ(gzip, 4);
+  EXPECT_EQ(columnar, 4);
 
   // One query spanning both halves of the chain exercises both decode
   // paths in a single traversal.
@@ -475,6 +492,64 @@ TEST(LogStoreTest, AppendRepersistsEdgeWhoseLineageChanged) {
   EXPECT_EQ(std::filesystem::file_size(path), size_before);
 }
 
+TEST(LogStoreTest, ConvertedLegacyDirectoryServesQueriesAndPredictor) {
+  // The directory format and its converter are gone; the conversion that
+  // remains is store-to-store: a catalog opened in situ from a gzip store
+  // is rewritten by SaveLogStore into a new file. Stored segments are
+  // shuttled raw (their gzip layout kept, whatever layout is asked for),
+  // and both the lineage and a promoted dim_sig mapping must cross.
+  DSLog log;
+  Rng rng(71);
+  const ArrayOp* neg = OpRegistry::Global().Find("negative");
+  for (int call = 0; call < 2; ++call) {
+    std::string x = "cx" + std::to_string(call);
+    std::string y = "cy" + std::to_string(call);
+    ASSERT_TRUE(log.DefineArray(x, {24}).ok());
+    ASSERT_TRUE(log.DefineArray(y, {24}).ok());
+    NDArray xv = NDArray::Random({24}, &rng);
+    NDArray yv = neg->Apply({&xv}, OpArgs()).ValueOrDie();
+    auto rels = neg->Capture({&xv}, yv, OpArgs()).ValueOrDie();
+    OperationRegistration reg{"negative", {x}, y, {rels[0]}, OpArgs(),
+                              xv.ContentHash(), true};
+    ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
+  }
+  ASSERT_EQ(log.reuse_stats().dim_promotions, 1);
+
+  const std::string source = TestPath("convert_source.dsl");
+  const std::string path = TestPath("converted.dsl");
+  ASSERT_TRUE(log.SaveLogStore(source, SegmentLayout::kProvRcGzip).ok());
+  auto from = DSLog::OpenInSitu(source);
+  ASSERT_TRUE(from.ok()) << from.status().ToString();
+  ASSERT_TRUE(from.value().SaveLogStore(path, SegmentLayout::kColumnar).ok());
+
+  auto opened = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DSLog& insitu = opened.value();
+  const LogStore& src = *from.value().log_store();
+  const LogStore& dst = *insitu.log_store();
+  ASSERT_EQ(dst.segment_count(), 2u);
+  ASSERT_EQ(src.segment_count(), 2u);
+  for (size_t id = 0; id < dst.segment_count(); ++id) {
+    EXPECT_EQ(dst.segment_info(id).layout, SegmentLayout::kProvRcGzip);
+    auto src_bytes = src.SegmentView(id);
+    auto dst_bytes = dst.SegmentView(id);
+    ASSERT_TRUE(src_bytes.ok() && dst_bytes.ok());
+    EXPECT_EQ(src_bytes.value(), dst_bytes.value());
+  }
+  auto got = insitu.ProvQuery({"cy0", "cx0"}, BoxTable::FromCells(1, {4}));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{4}));
+  EXPECT_EQ(insitu.reuse_stats().dim_promotions, 1);
+
+  // The restored predictor serves a third call without capture.
+  ASSERT_TRUE(insitu.DefineArray("cx2", {24}).ok());
+  ASSERT_TRUE(insitu.DefineArray("cy2", {24}).ok());
+  OperationRegistration reg{"negative", {"cx2"}, "cy2", {}, OpArgs(), 0, true};
+  auto outcome = insitu.RegisterOperation(std::move(reg));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome.value().dim_hit);
+}
+
 TEST(LogStoreTest, WriterReplacementNewestSegmentWins) {
   const std::string path = TestPath("replace.dsl");
   {
@@ -500,53 +575,11 @@ TEST(LogStoreTest, WriterReplacementNewestSegmentWins) {
   }
   auto store = LogStore::Open(path);
   ASSERT_TRUE(store.ok());
-  ASSERT_EQ(store.value()->segments().size(), 1u);
+  ASSERT_EQ(store.value()->segment_count(), 1u);
   auto table = store.value()->Table(0);
   ASSERT_TRUE(table.ok());
   EXPECT_TRUE(table.value()->Decompress().EqualAsSet(ShiftRelation(8)));
   EXPECT_FALSE(store.value()->Table(7).ok());  // out of range
-}
-
-TEST(LogStoreTest, ConvertedLegacyDirectoryServesQueriesAndPredictor) {
-  // Promote a dim_sig mapping, save legacy, convert, and check both the
-  // lineage and the reuse state crossed over.
-  DSLog log;
-  Rng rng(71);
-  const ArrayOp* neg = OpRegistry::Global().Find("negative");
-  for (int call = 0; call < 2; ++call) {
-    std::string x = "cx" + std::to_string(call);
-    std::string y = "cy" + std::to_string(call);
-    ASSERT_TRUE(log.DefineArray(x, {24}).ok());
-    ASSERT_TRUE(log.DefineArray(y, {24}).ok());
-    NDArray xv = NDArray::Random({24}, &rng);
-    NDArray yv = neg->Apply({&xv}, OpArgs()).ValueOrDie();
-    auto rels = neg->Capture({&xv}, yv, OpArgs()).ValueOrDie();
-    OperationRegistration reg{"negative", {x}, y, {rels[0]}, OpArgs(),
-                              xv.ContentHash(), true};
-    ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
-  }
-  ASSERT_EQ(log.reuse_stats().dim_promotions, 1);
-
-  const std::string dir = TestPath("convert_dir");
-  const std::string path = TestPath("converted.dsl");
-  ASSERT_TRUE(log.Save(dir).ok());
-  ASSERT_TRUE(ConvertLegacyDirToLogStore(dir, path).ok());
-
-  auto opened = DSLog::OpenInSitu(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  DSLog& insitu = opened.value();
-  auto got = insitu.ProvQuery({"cy0", "cx0"}, BoxTable::FromCells(1, {4}));
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{4}));
-  EXPECT_EQ(insitu.reuse_stats().dim_promotions, 1);
-
-  // The restored predictor serves a third call without capture.
-  ASSERT_TRUE(insitu.DefineArray("cx2", {24}).ok());
-  ASSERT_TRUE(insitu.DefineArray("cy2", {24}).ok());
-  OperationRegistration reg{"negative", {"cx2"}, "cy2", {}, OpArgs(), 0, true};
-  auto outcome = insitu.RegisterOperation(std::move(reg));
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_TRUE(outcome.value().dim_hit);
 }
 
 // -------------------------------------------------------------- corruption --
@@ -558,17 +591,9 @@ TEST(LogStoreCorruptionTest, FlippedSegmentByteIsDetectedAtDecode) {
   ASSERT_TRUE(log.SaveLogStore(path).ok());
 
   // Locate segment a2 -> a3 through a clean open, then flip one byte.
-  uint64_t offset = 0, length = 0;
-  {
-    auto store = LogStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    for (const auto& seg : store.value()->segments())
-      if (seg.in_arr == "a2" && seg.out_arr == "a3") {
-        offset = seg.offset;
-        length = seg.length;
-      }
-    ASSERT_GT(length, 0u);
-  }
+  const LogStore::SegmentInfo seg = SegmentOf(path, "a2", "a3");
+  const uint64_t offset = seg.offset, length = seg.length;
+  ASSERT_GT(length, 0u);
   std::string bytes = ReadFileToString(path).ValueOrDie();
   bytes[offset + length / 2] = static_cast<char>(
       static_cast<uint8_t>(bytes[offset + length / 2]) ^ 0xFF);
@@ -597,20 +622,12 @@ TEST(LogStoreCorruptionTest, ColumnarRefOutOfRangeIsCorruptionEvenUnchecked) {
   const std::string path = TestPath("corrupt_ref.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  // v4 stores the segment records in PHF-position order, so locate the
-  // a0->a1 edge (the one the query below touches) by name, not by index.
-  uint64_t offset = 0, length = 0;
-  {
-    auto store = LogStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    for (const auto& seg : store.value()->segments())
-      if (seg.in_arr == "a0" && seg.out_arr == "a1") {
-        ASSERT_EQ(seg.layout, SegmentLayout::kColumnar);
-        offset = seg.offset;
-        length = seg.length;
-      }
-    ASSERT_GT(length, 0u);
-  }
+  // The footer stores the segment records in PHF-position order, so locate
+  // the a0->a1 edge (the one the query below touches) by name, not by index.
+  const LogStore::SegmentInfo seg = SegmentOf(path, "a0", "a1");
+  ASSERT_EQ(seg.layout, SegmentLayout::kColumnar);
+  const uint64_t offset = seg.offset, length = seg.length;
+  ASSERT_GT(length, 0u);
   // The int32 ref array is the (8-padded) tail of a columnar image; force
   // its low byte to a huge attribute index.
   std::string bytes = ReadFileToString(path).ValueOrDie();
@@ -634,14 +651,8 @@ TEST(LogStoreCorruptionTest, ColumnarTruncatedSegmentIsCorruption) {
   BuildChain(&log, 0, 2, 8);
   const std::string path = TestPath("corrupt_truncated_v2.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
-  uint64_t offset = 0;
-  {
-    auto store = LogStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    for (const auto& seg : store.value()->segments())
-      if (seg.in_arr == "a0" && seg.out_arr == "a1") offset = seg.offset;
-    ASSERT_GT(offset, 0u);
-  }
+  const uint64_t offset = SegmentOf(path, "a0", "a1").offset;
+  ASSERT_GT(offset, 0u);
   // Inflate the claimed row count inside the segment header (offset 16).
   std::string bytes = ReadFileToString(path).ValueOrDie();
   bytes[offset + 16] = 0x40;
@@ -694,49 +705,179 @@ TEST(LogStoreCorruptionTest, TruncationsAndGarbageAreCorruption) {
   EXPECT_TRUE(DSLog::OpenInSitu(path).ok());
 }
 
+/// A store file around a hand-built footer: header, footer at offset 8
+/// (8-aligned, as the reader requires), trailer sealed with `footer_hash`.
+std::string SealedFile(const std::string& footer, uint64_t footer_hash) {
+  std::string file("DSLSTOR1");
+  const uint64_t footer_offset = file.size();
+  file += footer;
+  PutFixed64(&file, footer_offset);
+  PutFixed64(&file, footer_hash);
+  file += "DSLF";
+  return file;
+}
+
 TEST(LogStoreCorruptionTest, OverflowingFooterVarintIsCorruption) {
-  // Hand-crafted file whose footer *checksum is valid* but whose
+  // Hand-crafted version-4 file whose footer *checksum is valid* but whose
   // array-count varint is a ten-byte encoding overflowing uint64. The old
   // decoder silently wrapped it to 0 and then "successfully" parsed the
   // rest, opening an empty store from a corrupt footer; the decoder must
   // reject the overflow as Corruption instead.
   std::string footer;
-  PutVarint64(&footer, 3);     // format version
+  PutVarint64(&footer, 4);     // format version
   footer.append(9, '\x80');    // continuation bytes up to shift 63
   footer.push_back('\x02');    // 10th byte: bit 64 set -> overflow -> "0"
-  PutVarint64(&footer, 0);     // num_segments (parses fine after the wrap)
   PutVarint64(&footer, 0);     // predictor-state length
-  std::string file("DSLSTOR1");
-  const uint64_t footer_offset = file.size();
-  file += footer;
-  PutFixed64(&file, footer_offset);
-  PutFixed64(&file, Hash64(footer));  // checksum must NOT mask the varint
-  file += "DSLF";
+  footer.resize(16, '\0');     // pad the prelude to 8
+  footer.append(24, '\0');     // 0 segments, empty name heap, empty PHF
+  // The checksum must NOT mask the varint: after a wrap to 0 every field
+  // that follows parses.
   const std::string path = TestPath("overflow_varint.dsl");
-  ASSERT_TRUE(WriteFile(path, file).ok());
+  ASSERT_TRUE(WriteFile(path, SealedFile(footer, Hash64Wide(footer))).ok());
   auto opened = LogStore::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
       << opened.status().ToString();
 }
 
-TEST(LogStoreTest, V3FooterCarriesSegmentStats) {
+TEST(LogStoreCorruptionTest, Version3FooterIsUnsupported) {
+  // A well-formed version-3 footer (varint segment index, byte-wise FNV
+  // checksum, as older writers sealed it) is refused by version, not
+  // misread as a version-4 index.
+  std::string footer;
+  PutVarint64(&footer, 3);  // format version
+  PutVarint64(&footer, 0);  // arrays
+  PutVarint64(&footer, 0);  // segments
+  PutVarint64(&footer, 0);  // predictor-state length
+  const std::string path = TestPath("version3.dsl");
+  ASSERT_TRUE(WriteFile(path, SealedFile(footer, Hash64(footer))).ok());
+  auto opened = LogStore::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().ToString().find("unsupported format version"),
+            std::string::npos)
+      << opened.status().ToString();
+  EXPECT_FALSE(LogStoreWriter::OpenForAppend(path).ok());
+}
+
+/// Overwrites the 8-byte (`width` = 8) or 4-byte field at `field_offset` of
+/// segment `id`'s footer record in the store at `path`, then re-seals the
+/// footer checksum so the open succeeds and only the record's own checks
+/// stand between the patched value and the reader. Records are the fixed
+/// 88-byte layout documented in logstore.cc; the record is located by its
+/// (offset, length, checksum) prefix.
+void PatchRecordField(const std::string& path, size_t id, size_t field_offset,
+                      uint64_t value, size_t width) {
+  LogStore::SegmentInfo seg;
+  {
+    auto store = LogStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    seg = store.value()->segment_info(id);
+  }
+  std::string bytes = ReadFileToString(path).ValueOrDie();
+  size_t pos = bytes.size() - 20;
+  uint64_t footer_offset = 0;
+  ASSERT_TRUE(GetFixed64(bytes, &pos, &footer_offset));
+  std::string prefix;
+  PutFixed64(&prefix, seg.offset);
+  PutFixed64(&prefix, seg.length);
+  PutFixed64(&prefix, seg.checksum);
+  const size_t rec = bytes.find(prefix, footer_offset);
+  ASSERT_NE(rec, std::string::npos);
+  std::memcpy(&bytes[rec + field_offset], &value, width);
+  const std::string_view footer(bytes.data() + footer_offset,
+                                bytes.size() - 20 - footer_offset);
+  const uint64_t hash = Hash64Wide(footer);
+  std::memcpy(&bytes[bytes.size() - 12], &hash, 8);
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+}
+
+TEST(LogStoreCorruptionTest, UntrustedRecordFieldsAreChecked) {
+  DSLog log;
+  BuildChain(&log, 0, 2, 16);
+  const std::string path = TestPath("patched_record.dsl");
+  ASSERT_TRUE(log.SaveLogStore(path).ok());
+  size_t id = 0;
+  {
+    auto store = LogStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    id = static_cast<size_t>(store.value()->FindSegmentId("a0", "a1").value());
+  }
+  constexpr size_t kOffset = 0, kMinLo = 48, kMaxLo = 56, kLayout = 84;
+
+  // A segment extent past the end of the file: Corruption at resolve and
+  // when an in-situ catalog shuttles the segment into a new file, never a
+  // read outside the file.
+  const std::string moved = TestPath("patched_offset.dsl");
+  ASSERT_TRUE(log.SaveLogStore(moved).ok());
+  PatchRecordField(moved, id, kOffset, uint64_t{1} << 40, 8);
+  {
+    InSituOptions heap;
+    heap.store.use_mmap = false;
+    auto insitu = DSLog::OpenInSitu(moved, heap);
+    ASSERT_TRUE(insitu.ok()) << insitu.status().ToString();
+    EXPECT_EQ(insitu.value().log_store()->SegmentView(id).status().code(),
+              StatusCode::kCorruption);
+    auto got = insitu.value().ProvQuery({"a1", "a0"},
+                                        BoxTable::FromCells(1, {5}));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+    const Status resaved =
+        insitu.value().SaveLogStore(TestPath("patched_offset_resaved.dsl"));
+    EXPECT_EQ(resaved.code(), StatusCode::kCorruption) << resaved.ToString();
+  }
+
+  // min_lo > max_lo: the stats read as unknown, never as a zero or
+  // negative lo span, and the query still answers from the exact index.
+  PatchRecordField(path, id, kMinLo, 40, 8);
+  PatchRecordField(path, id, kMaxLo, 2, 8);
+  {
+    auto store = LogStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_FALSE(store.value()->segment_out0_stats(id).valid());
+    EXPECT_EQ(store.value()->segment_info(id).out0_stats.row_count, -1);
+    auto insitu = DSLog::OpenInSitu(path);
+    ASSERT_TRUE(insitu.ok());
+    auto got = insitu.value().ProvQuery({"a1", "a0"},
+                                        BoxTable::FromCells(1, {5}));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{5}));
+  }
+
+  // An unknown layout is Corruption at resolve, not a gzip decode.
+  PatchRecordField(path, id, kLayout, 7, 4);
+  auto insitu = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(insitu.ok()) << insitu.status().ToString();
+  auto got = insitu.value().ProvQuery({"a1", "a0"},
+                                      BoxTable::FromCells(1, {5}));
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
+      << got.status().ToString();
+  EXPECT_NE(got.status().ToString().find("layout"), std::string::npos)
+      << got.status().ToString();
+}
+
+TEST(LogStoreTest, FooterCarriesSegmentStats) {
   DSLog log;
   BuildChain(&log, 0, 2, 32);
-  const std::string path = TestPath("stats_v3.dsl");
-  LogStoreWriterOptions v3;
-  v3.footer_version = 3;
-  ASSERT_TRUE(log.SaveLogStore(path, SegmentLayout::kColumnar, v3).ok());
+  const std::string path = TestPath("stats_footer.dsl");
+  ASSERT_TRUE(log.SaveLogStore(path).ok());
   auto store = LogStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value()->format_version(), 3u);
-  ASSERT_EQ(store.value()->segments().size(), 2u);
-  for (size_t id = 0; id < store.value()->segments().size(); ++id) {
-    const LogStore::SegmentInfo& seg = store.value()->segments()[id];
+  ASSERT_EQ(store.value()->segment_count(), 2u);
+  for (size_t id = 0; id < store.value()->segment_count(); ++id) {
+    const LogStore::SegmentInfo seg = store.value()->segment_info(id);
     // Identity lineage over 32 cells compresses to one relative interval
     // row covering out attr 0 = [0, 31]. The footer stats must match the
-    // resolved index's exact stats without touching the segment bytes.
+    // resolved index's exact stats without touching the segment bytes,
+    // through both the record decode and the id-addressed accessor.
     ASSERT_TRUE(seg.out0_stats.valid());
+    const IntervalColumnStats by_id = store.value()->segment_out0_stats(id);
+    EXPECT_EQ(by_id.row_count, seg.out0_stats.row_count);
+    EXPECT_EQ(by_id.min_lo, seg.out0_stats.min_lo);
+    EXPECT_EQ(by_id.max_lo, seg.out0_stats.max_lo);
+    EXPECT_EQ(by_id.max_hi, seg.out0_stats.max_hi);
+    EXPECT_EQ(by_id.sum_width, seg.out0_stats.sum_width);
     EXPECT_EQ(seg.out0_stats.row_count, 1);
     EXPECT_EQ(seg.out0_stats.min_lo, 0);
     EXPECT_EQ(seg.out0_stats.max_hi, 31);
@@ -762,7 +903,6 @@ TEST(LogStoreV4Test, RoundTripBindsPerfectHashIndex) {
 
   auto store = LogStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value()->format_version(), 4u);
   EXPECT_EQ(store.value()->edge_index_kind(), LogStore::EdgeIndexKind::kPhf);
   EXPECT_GT(store.value()->index_bits_per_key(), 0.0);
   EXPECT_EQ(store.value()->index_fingerprint_bits(), 8u);
@@ -786,110 +926,66 @@ TEST(LogStoreV4Test, RoundTripBindsPerfectHashIndex) {
 TEST(LogStoreV4Test, PhfDisabledReaderServesIdenticalResults) {
   DSLog log;
   BuildChain(&log, 0, 5, 16);
-  const std::string path = TestPath("phf_kill_switch.dsl");
+  const std::string path = TestPath("phf_written.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
+  auto phf = LogStore::Open(path);
+  ASSERT_TRUE(phf.ok()) << phf.status().ToString();
 
-  // Same v4 file, PHF kill switch on: lazy-map fallback, same answers.
-  LogStoreOptions no_phf;
-  no_phf.use_phf_index = false;
-  auto fallback = LogStore::Open(path, no_phf);
+  // The same catalog written without the index (segments shuttled raw):
+  // the reader falls back to the lazy name map, with the same answers.
+  const std::string bare = TestPath("phf_not_written.dsl");
+  {
+    LogStoreWriterOptions no_phf;
+    no_phf.build_phf = false;
+    auto writer = LogStoreWriter::Create(bare, no_phf);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const auto& [name, shape] : phf.value()->arrays())
+      writer.value().PutArray(name, shape);
+    for (size_t id = 0; id < phf.value()->segment_count(); ++id) {
+      const LogStore::SegmentInfo seg = phf.value()->segment_info(id);
+      ASSERT_TRUE(writer.value()
+                      .AppendRawSegment(seg.in_arr, seg.out_arr, seg.op_name,
+                                        phf.value()->SegmentView(id).value(),
+                                        seg.layout, seg.row_count,
+                                        seg.out0_stats)
+                      .ok());
+    }
+    ASSERT_TRUE(writer.value().Finish().ok());
+  }
+  auto fallback = LogStore::Open(bare);
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_EQ(fallback.value()->format_version(), 4u);
   EXPECT_EQ(fallback.value()->edge_index_kind(),
             LogStore::EdgeIndexKind::kLazyMap);
   EXPECT_EQ(fallback.value()->index_bits_per_key(), 0.0);
-  auto phf = LogStore::Open(path);
-  ASSERT_TRUE(phf.ok());
+  EXPECT_FALSE(fallback.value()->name_index_built());
   for (size_t id = 0; id < phf.value()->segment_count(); ++id) {
     const LogStore::SegmentInfo seg = phf.value()->segment_info(id);
-    auto a = phf.value()->FindSegmentId(seg.in_arr, seg.out_arr);
     auto b = fallback.value()->FindSegmentId(seg.in_arr, seg.out_arr);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
+    ASSERT_TRUE(b.ok() && b.value() >= 0)
+        << seg.in_arr << " -> " << seg.out_arr;
+    const LogStore::SegmentInfo other =
+        fallback.value()->segment_info(static_cast<size_t>(b.value()));
+    EXPECT_EQ(other.in_arr, seg.in_arr);
+    EXPECT_EQ(other.out_arr, seg.out_arr);
+    EXPECT_EQ(other.checksum, seg.checksum);
+    auto missing = fallback.value()->FindSegmentId(seg.out_arr, seg.in_arr);
+    ASSERT_TRUE(missing.ok());
+    EXPECT_EQ(missing.value(), -1);
   }
   EXPECT_TRUE(fallback.value()->name_index_built());
 
-  // A v4 file written without the index opens on the map path too.
-  DSLog log2;
-  BuildChain(&log2, 0, 3, 16);
-  const std::string bare = TestPath("phf_not_written.dsl");
-  LogStoreWriterOptions no_build;
-  no_build.build_phf = false;
-  ASSERT_TRUE(log2.SaveLogStore(bare, SegmentLayout::kColumnar, no_build).ok());
-  auto opened = LogStore::Open(bare);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value()->format_version(), 4u);
-  EXPECT_EQ(opened.value()->edge_index_kind(),
-            LogStore::EdgeIndexKind::kLazyMap);
-  auto found = opened.value()->FindSegmentId("a0", "a1");
-  ASSERT_TRUE(found.ok());
-  EXPECT_GE(found.value(), 0);
-}
-
-TEST(LogStoreV4Test, V3StoreOpensOnMapPathWithSameAnswers) {
-  DSLog log;
-  BuildChain(&log, 0, 4, 16);
-  const std::string v3_path = TestPath("compat_v3.dsl");
-  const std::string v4_path = TestPath("compat_v4.dsl");
-  LogStoreWriterOptions v3;
-  v3.footer_version = 3;
-  ASSERT_TRUE(log.SaveLogStore(v3_path, SegmentLayout::kColumnar, v3).ok());
-  ASSERT_TRUE(log.SaveLogStore(v4_path).ok());
-
-  auto old_store = LogStore::Open(v3_path);
-  ASSERT_TRUE(old_store.ok()) << old_store.status().ToString();
-  EXPECT_EQ(old_store.value()->format_version(), 3u);
-  EXPECT_EQ(old_store.value()->edge_index_kind(),
-            LogStore::EdgeIndexKind::kLazyMap);
-
-  // Both versions of the same catalog answer identically, lookups and
-  // queries alike.
-  auto a = DSLog::OpenInSitu(v3_path);
-  auto b = DSLog::OpenInSitu(v4_path);
+  auto a = DSLog::OpenInSitu(path);
+  auto b = DSLog::OpenInSitu(bare);
   ASSERT_TRUE(a.ok() && b.ok());
   for (bool backward : {true, false}) {
-    const auto path = backward ? ChainPath(4, 0) : ChainPath(0, 4);
-    auto ra = a.value().ProvQuery(path, BoxTable::FromCells(1, {3}));
-    auto rb = b.value().ProvQuery(path, BoxTable::FromCells(1, {3}));
+    const auto chain = backward ? ChainPath(5, 0) : ChainPath(0, 5);
+    auto ra = a.value().ProvQuery(chain, BoxTable::FromCells(1, {3}));
+    auto rb = b.value().ProvQuery(chain, BoxTable::FromCells(1, {3}));
     ASSERT_TRUE(ra.ok() && rb.ok())
         << ra.status().ToString() << " / " << rb.status().ToString();
     EXPECT_EQ(ToTupleSet(ra.value().ExpandToCells(), 1),
               ToTupleSet(rb.value().ExpandToCells(), 1));
   }
-}
-
-TEST(LogStoreV4Test, AppendResealsV3StoreAsV4) {
-  DSLog log;
-  BuildChain(&log, 0, 3, 16);
-  const std::string path = TestPath("reseal_v3_to_v4.dsl");
-  LogStoreWriterOptions v3;
-  v3.footer_version = 3;
-  ASSERT_TRUE(log.SaveLogStore(path, SegmentLayout::kColumnar, v3).ok());
-
-  // Extend the chain and append with default writer options: the store is
-  // resealed under the v4 footer, old segments intact, index over all edges.
-  auto reopened = DSLog::OpenInSitu(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  BuildChain(&reopened.value(), 3, 2, 16);
-  ASSERT_TRUE(reopened.value().AppendLogStore(path).ok());
-
-  auto store = LogStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value()->format_version(), 4u);
-  EXPECT_EQ(store.value()->edge_index_kind(), LogStore::EdgeIndexKind::kPhf);
-  EXPECT_EQ(store.value()->segment_count(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    auto found = store.value()->FindSegmentId("a" + std::to_string(i),
-                                              "a" + std::to_string(i + 1));
-    ASSERT_TRUE(found.ok());
-    EXPECT_GE(found.value(), 0) << "edge a" << i << " -> a" << i + 1;
-  }
-  // End-to-end over the resealed file.
-  auto full = DSLog::OpenInSitu(path);
-  ASSERT_TRUE(full.ok());
-  auto r = full.value().ProvQuery(ChainPath(5, 0), BoxTable::FromCells(1, {7}));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().ExpandToCells(), (std::vector<int64_t>{7}));
 }
 
 TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
@@ -919,8 +1015,8 @@ TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ(store.value()->edge_index_kind(), LogStore::EdgeIndexKind::kPhf);
   EXPECT_LE(store.value()->index_bits_per_key(), 16.0);
-  // v4 stores segments in PHF-position order, so the id is arbitrary; it
-  // must resolve to the segment carrying the probed names.
+  // The footer stores segments in PHF-position order, so the id is
+  // arbitrary; it must resolve to the segment carrying the probed names.
   auto hit = store.value()->FindSegmentId("hub", "leaf2047");
   ASSERT_TRUE(hit.ok());
   ASSERT_GE(hit.value(), 0);
@@ -1097,7 +1193,7 @@ TEST(LogStoreConcurrencyTest, StatsSnapshotsAreConsistentUnderLoad) {
   auto opened = LogStore::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const LogStore& store = *opened.value();
-  const int64_t num_segments = static_cast<int64_t>(store.segments().size());
+  const int64_t num_segments = static_cast<int64_t>(store.segment_count());
   ASSERT_EQ(num_segments, 8);
 
   constexpr int kThreads = 8;

@@ -307,7 +307,7 @@ TEST(JoinPathSweepTest, ForwardJoinBitIdenticalAcrossPaths) {
 }
 
 TEST(JoinPathSweepTest, FooterStatsAndIndexStatsPlanIdentically) {
-  // Passing explicit (e.g. v3-footer) stats must not change results, only
+  // Passing explicit (e.g. footer) stats must not change results, only
   // potentially the chosen path.
   CompressedTable table = MakeWideTable(1024, 5);
   const IntervalColumnStats stats = table.view().BuildBackwardIndex().stats();

@@ -125,7 +125,7 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
     EXPECT_TRUE(hp.borrowed);
     EXPECT_EQ(hp.bytes_decompressed, 0);
     EXPECT_EQ(hp.rows_materialized, 0);
-    // v4 footers hold records in PHF-position order, so segment ids no
+    // Footers hold records in PHF-position order, so segment ids no
     // longer track registration order: resolve this hop's segment through
     // the store's edge index.
     auto seg_id = store->FindSegmentId(hp.in_arr, hp.out_arr);

@@ -4,7 +4,6 @@
 // capture -> compress -> store -> query integration.
 
 #include <cmath>
-#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -323,35 +322,11 @@ TEST(DSLogTest, CachedForwardIndexMatchesEphemeral) {
   }
 }
 
-TEST(DSLogTest, SaveLoadRoundTrip) {
-  std::string dir = ScratchDir() + "/dslog_saveload";
-  DSLog log;
-  ASSERT_TRUE(log.DefineArray("x", {8}).ok());
-  ASSERT_TRUE(log.DefineArray("y", {8}).ok());
-  Rng rng(13);
-  NDArray xv = NDArray::Random({8}, &rng);
-  const ArrayOp* neg = OpRegistry::Global().Find("negative");
-  NDArray yv = neg->Apply({&xv}, OpArgs()).ValueOrDie();
-  auto rels = neg->Capture({&xv}, yv, OpArgs()).ValueOrDie();
-  OperationRegistration reg{"negative", {"x"}, "y", {rels[0]}, OpArgs(), 1,
-                            true};
-  ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
-  ASSERT_TRUE(log.Save(dir).ok());
-
-  DSLog restored;
-  ASSERT_TRUE(restored.Load(dir).ok());
-  EXPECT_TRUE(restored.HasArray("x"));
-  auto q = restored.ProvQuery({"y", "x"}, BoxTable::FromCells(1, {2}));
-  ASSERT_TRUE(q.ok());
-  auto cells = q.value().ExpandToCells();
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0], 2);
-}
-
 TEST(DSLogTest, SaveCrashSimulationLeavesPreviousCatalogLoadable) {
-  // Torn-write regression: every Save file goes through temp + rename, so a
-  // crash at any point mid-save leaves the previous catalog fully loadable.
-  const std::string dir = ScratchDir() + "/dslog_crash_sim";
+  // Torn-write regression: SaveLogStore commits through temp + rename, so
+  // a crash before the rename leaves the previous file at the path fully
+  // openable, with the previous catalog's answers.
+  const std::string path = ScratchDir() + "/dslog_crash_sim.dsl";
   Rng rng(21);
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
   NDArray xv = NDArray::Random({8}, &rng);
@@ -364,12 +339,11 @@ TEST(DSLogTest, SaveCrashSimulationLeavesPreviousCatalogLoadable) {
   OperationRegistration reg_a{"negative", {"x"}, "y", {xy[0]}, OpArgs(), 1,
                               true};
   ASSERT_TRUE(a.RegisterOperation(std::move(reg_a)).ok());
-  ASSERT_TRUE(a.Save(dir).ok());
+  ASSERT_TRUE(a.SaveLogStore(path).ok());
 
-  // Catalog B extends A with two edges, one of which ("a" -> "b", key
-  // sorting *before* A's "x" -> "y") carries a reversal relation — so if a
-  // partial save could ever rebind A's catalog entries to another edge's
-  // file, leg 2's lineage check below would catch the wrong table.
+  // Catalog B replaces A's x -> y lineage with a reversal and adds an
+  // a -> b edge, so a save that leaked into the file would show in the
+  // lineage check below.
   LineageRelation reversal(1, 1);
   reversal.set_shapes({8}, {8});
   for (int64_t i = 0; i < 8; ++i) {
@@ -377,93 +351,48 @@ TEST(DSLogTest, SaveCrashSimulationLeavesPreviousCatalogLoadable) {
     reversal.AddTuple(tuple);
   }
   DSLog b;
-  ASSERT_TRUE(b.DefineArray("a", {8}).ok());
-  ASSERT_TRUE(b.DefineArray("b", {8}).ok());
-  ASSERT_TRUE(b.DefineArray("x", {8}).ok());
-  ASSERT_TRUE(b.DefineArray("y", {8}).ok());
-  OperationRegistration reg_b1{"negative", {"x"}, "y", {xy[0]}, OpArgs(), 1,
+  for (const char* name : {"a", "b", "x", "y"})
+    ASSERT_TRUE(b.DefineArray(name, {8}).ok());
+  OperationRegistration reg_b1{"reverse", {"x"}, "y", {reversal}, OpArgs(), 2,
                                true};
-  OperationRegistration reg_b2{"reverse", {"a"}, "b", {reversal}, OpArgs(), 2,
+  OperationRegistration reg_b2{"reverse", {"a"}, "b", {reversal}, OpArgs(), 3,
                                true};
   ASSERT_TRUE(b.RegisterOperation(std::move(reg_b1)).ok());
   ASSERT_TRUE(b.RegisterOperation(std::move(reg_b2)).ok());
 
-  // Crash leg 1: the very first edge-file write of B's save dies -> no
-  // rename was issued, the directory is byte-identical to A's.
-  io_testing::SetAtomicWriteCrashHook([](const std::string& path) {
-    return path.find("edge_") != std::string::npos
-               ? Status::IOError("simulated crash: " + path)
-               : Status::OK();
+  // Crash: B's whole file is written to its temp name, but the rename onto
+  // `path` never happens.
+  io_testing::SetAtomicWriteCrashHook([&path](const std::string& target) {
+    return target == path ? Status::IOError("simulated crash: " + target)
+                          : Status::OK();
   });
-  EXPECT_FALSE(b.Save(dir).ok());
+  EXPECT_FALSE(b.SaveLogStore(path).ok());
   io_testing::SetAtomicWriteCrashHook(nullptr);
 
-  DSLog restored;
-  ASSERT_TRUE(restored.Load(dir).ok());
-  EXPECT_NE(restored.FindEdge("x", "y"), nullptr);
-  EXPECT_EQ(restored.FindEdge("a", "b"), nullptr);  // still catalog A
-  EXPECT_FALSE(restored.HasArray("a"));
-
-  // Crash leg 2: B's edge files all land but catalog.bin's rename never
-  // happens -> the old catalog.bin still commits a consistent A-shaped
-  // catalog, and its x -> y entry still resolves to x -> y lineage (edge
-  // files are keyed by edge identity, so B's "a" -> "b" table cannot land
-  // under a file name A references).
-  io_testing::SetAtomicWriteCrashHook([](const std::string& path) {
-    return path.ends_with("catalog.bin")
-               ? Status::IOError("simulated crash: " + path)
-               : Status::OK();
-  });
-  EXPECT_FALSE(b.Save(dir).ok());
-  io_testing::SetAtomicWriteCrashHook(nullptr);
-
-  DSLog restored2;
-  ASSERT_TRUE(restored2.Load(dir).ok());
-  EXPECT_FALSE(restored2.HasArray("a"));
-  auto q = restored2.ProvQuery({"y", "x"}, BoxTable::FromCells(1, {3}));
+  auto restored = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_NE(restored.value().FindEdge("x", "y"), nullptr);
+  EXPECT_EQ(restored.value().FindEdge("a", "b"), nullptr);  // still A
+  EXPECT_FALSE(restored.value().HasArray("a"));
+  auto q = restored.value().ProvQuery({"y", "x"}, BoxTable::FromCells(1, {3}));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto cells = q.value().ExpandToCells();
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0], 3);  // identity lineage, not the reversal's 4
+  EXPECT_EQ(q.value().ExpandToCells(), (std::vector<int64_t>{3}));
 
-  // A non-crashing save of B then commits the extended catalog.
-  ASSERT_TRUE(b.Save(dir).ok());
-  DSLog restored3;
-  ASSERT_TRUE(restored3.Load(dir).ok());
-  EXPECT_NE(restored3.FindEdge("a", "b"), nullptr);
-
-  // Crash leg 3: an edge whose lineage *changed* between saves. The new
-  // table lands in a new content-addressed file, so the committed
-  // catalog's own file keeps its bytes and the crash restores the old
-  // lineage — not a half-updated hybrid.
-  DSLog c;
-  ASSERT_TRUE(c.DefineArray("x", {8}).ok());
-  ASSERT_TRUE(c.DefineArray("y", {8}).ok());
-  OperationRegistration reg_c{"reverse", {"x"}, "y", {reversal}, OpArgs(), 3,
-                              true};
-  ASSERT_TRUE(c.RegisterOperation(std::move(reg_c)).ok());
-  io_testing::SetAtomicWriteCrashHook([](const std::string& path) {
-    return path.ends_with("catalog.bin")
-               ? Status::IOError("simulated crash: " + path)
-               : Status::OK();
-  });
-  EXPECT_FALSE(c.Save(dir).ok());
-  io_testing::SetAtomicWriteCrashHook(nullptr);
-
-  DSLog restored4;
-  ASSERT_TRUE(restored4.Load(dir).ok());
-  auto q4 = restored4.ProvQuery({"y", "x"}, BoxTable::FromCells(1, {3}));
-  ASSERT_TRUE(q4.ok()) << q4.status().ToString();
-  auto cells4 = q4.value().ExpandToCells();
-  ASSERT_EQ(cells4.size(), 1u);
-  EXPECT_EQ(cells4[0], 3);  // B's identity lineage, not C's reversal
+  // A non-crashing save of B then commits the new catalog.
+  ASSERT_TRUE(b.SaveLogStore(path).ok());
+  auto saved = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_NE(saved.value().FindEdge("a", "b"), nullptr);
+  auto q2 = saved.value().ProvQuery({"y", "x"}, BoxTable::FromCells(1, {3}));
+  ASSERT_TRUE(q2.ok()) << q2.status().ToString();
+  EXPECT_EQ(q2.value().ExpandToCells(), (std::vector<int64_t>{4}));
 }
 
 TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
-  // Regression for Load() silently dropping reuse state: a promoted
-  // dim_sig mapping must keep serving capture-free registrations after a
-  // save/load round trip, with the counters intact.
-  const std::string dir = ScratchDir() + "/dslog_reuse_persist";
+  // A promoted dim_sig mapping must cross SaveLogStore -> OpenInSitu with
+  // the lineage, the counters intact, and keep serving capture-free
+  // registrations on the opened catalog.
+  const std::string path = ScratchDir() + "/dslog_reuse_persist.dsl";
   DSLog log;
   Rng rng(22);
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
@@ -480,12 +409,16 @@ TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
     ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
   }
   ASSERT_EQ(log.reuse_stats().dim_promotions, 1);
-  ASSERT_TRUE(log.Save(dir).ok());
+  ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  DSLog restored;
-  ASSERT_TRUE(restored.Load(dir).ok());
+  auto opened = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DSLog& restored = opened.value();
   EXPECT_EQ(restored.reuse_stats().dim_promotions, 1);
   EXPECT_EQ(restored.reuse_stats().dim_hits, log.reuse_stats().dim_hits);
+  auto bwd = restored.ProvQuery({"q0", "p0"}, BoxTable::FromCells(1, {4}));
+  ASSERT_TRUE(bwd.ok()) << bwd.status().ToString();
+  EXPECT_EQ(bwd.value().ExpandToCells(), (std::vector<int64_t>{4}));
 
   // Third call, no capture: served from the restored reuse index.
   ASSERT_TRUE(restored.DefineArray("p2", {24}).ok());
