@@ -12,7 +12,6 @@
 #include "array/op_registry.h"
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "provrc/provrc.h"
 #include "query/box.h"
 #include "query/theta_join.h"
@@ -116,17 +115,15 @@ void BM_BackwardThetaJoinWide(benchmark::State& state) {
 }
 BENCHMARK(BM_BackwardThetaJoinWide)->Arg(1 << 12)->Arg(1 << 15);
 
-// The planner-calibration sweep: backward join over the wide table at a
-// controlled selectivity (probes of width sel_ppm * domain / 1e6 overlap
-// about that fraction of the rows, whose out-attr-0 intervals tile the
-// domain), with the access path forced per JoinPath value (0 = auto). The
-// measured per-path curves are what the cost constants in
-// query/join_planner.cc are fitted to, and the committed crossover table
-// in docs/ARCHITECTURE.md renders them.
+// The selectivity sweep: backward join over the wide table at a controlled
+// selectivity (probes of width sel_ppm * domain / 1e6 overlap about that
+// fraction of the rows, whose out-attr-0 intervals tile the domain), from
+// near-point probes to probes that hit every row. BENCH_query_sweep.json
+// archives it; docs/ARCHITECTURE.md cites it for the single tree-probe
+// access path.
 void BM_BackwardJoinSweep(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int64_t sel_ppm = state.range(1);
-  const auto path = static_cast<JoinPath>(state.range(2));
   CompressedTable table = MakeWideTable(rows);
   const int64_t domain = rows * 4;
   const int64_t width =
@@ -140,17 +137,15 @@ void BM_BackwardJoinSweep(benchmark::State& state) {
     q.AddBox(box);
   }
   for (auto _ : state) {
-    BoxTable r = BackwardThetaJoin(q, table, 1, false, path);
+    BoxTable r = BackwardThetaJoin(q, table);
     benchmark::DoNotOptimize(r);
   }
-  state.SetLabel(JoinPathName(path));
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
 BENCHMARK(BM_BackwardJoinSweep)
-    ->ArgNames({"rows", "sel_ppm", "path"})
+    ->ArgNames({"rows", "sel_ppm"})
     ->ArgsProduct({{1 << 12, 1 << 15},
-                   {100, 1000, 10000, 100000, 300000, 1000000},
-                   {0, 1, 2, 3}});
+                   {100, 1000, 10000, 100000, 300000, 1000000}});
 
 // Forward join over the table's cached forward index: the steady-state
 // cost of a forward hop. The one-time index build is BM_ForwardIndexBuild.
@@ -311,13 +306,12 @@ BENCHMARK(BM_BoxTableMerge)->Arg(1 << 10)->Arg(1 << 14);
 }  // namespace
 }  // namespace dslog
 
-// Custom main instead of BENCHMARK_MAIN(): stamps the dslog build type and
-// SIMD ISA into the benchmark context so every emitted JSON/console report
-// says what was actually measured (the library_build_type field describes
-// the libbenchmark package, not this code).
+// Custom main instead of BENCHMARK_MAIN(): stamps the dslog build type into
+// the benchmark context so every emitted JSON/console report says what was
+// actually measured (the library_build_type field describes the
+// libbenchmark package, not this code).
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("dslog_build_type", dslog::bench::kBuildType);
-  benchmark::AddCustomContext("dslog_simd_isa", dslog::simd::kIsaName);
   if (dslog::bench::kDebugBuild) {
     std::fprintf(stderr,
                  "WARNING: dslog compiled without NDEBUG; these numbers are "

@@ -85,7 +85,10 @@ uint64_t NDArray::ContentHash() const {
 }
 
 std::string NDArray::ShapeToString() const {
-  return "(" + JoinInts(shape_, ",") + ")";
+  std::string out = "(";
+  out += JoinInts(shape_, ",");
+  out += ')';
+  return out;
 }
 
 }  // namespace dslog

@@ -212,7 +212,6 @@ bool GetLineageRelation(std::string_view src, size_t* pos,
 void PutQueryOptions(std::string* dst, const QueryOptions& options) {
   PutBool(dst, options.merge_between_hops);
   PutVarint64(dst, static_cast<uint64_t>(std::max(1, options.num_threads)));
-  dst->push_back(static_cast<char>(options.join_path));
   PutBool(dst, options.profile);
 }
 
@@ -223,10 +222,6 @@ bool GetQueryOptions(std::string_view src, size_t* pos, QueryOptions* out) {
   if (!GetVarint64(src, pos, &threads)) return false;
   if (threads == 0 || threads > 1024) return false;
   out->num_threads = static_cast<int>(threads);
-  if (*pos >= src.size()) return false;
-  const uint8_t path = static_cast<uint8_t>(src[(*pos)++]);
-  if (path > static_cast<uint8_t>(JoinPath::kFullScan)) return false;
-  out->join_path = static_cast<JoinPath>(path);
   return GetBool(src, pos, &out->profile);
 }
 

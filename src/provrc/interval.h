@@ -38,7 +38,12 @@ struct Interval {
 
   std::string ToString() const {
     if (lo == hi) return std::to_string(lo);
-    return "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+    std::string out = "[";
+    out += std::to_string(lo);
+    out += ',';
+    out += std::to_string(hi);
+    out += ']';
+    return out;
   }
 };
 

@@ -11,8 +11,7 @@ namespace dslog {
 IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
                              int64_t stride) {
   if (n <= 0) return;
-  // Candidate positions compact into int32 buffers (common/simd.h), and
-  // row ids are stored as int32.
+  // Row ids are stored as int32.
   DSLOG_CHECK(n <= std::numeric_limits<int32_t>::max())
       << "interval index over >2^31 rows";
   const size_t count = static_cast<size_t>(n);
@@ -48,16 +47,6 @@ IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
   }
   for (size_t node = leaf_count_ - 1; node >= 1; --node)
     tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
-
-  // Exact column stats for the join planner, one pass over the sorted
-  // columns (the sort already paid the cache traffic).
-  stats_.row_count = n;
-  stats_.min_lo = lo_.front();
-  stats_.max_lo = lo_.back();
-  stats_.max_hi = tree_[1];
-  int64_t sum_width = 0;
-  for (size_t i = 0; i < count; ++i) sum_width += hi_[i] - lo_[i] + 1;
-  stats_.sum_width = sum_width;
 }
 
 }  // namespace dslog

@@ -4,36 +4,18 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/metrics.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "query/theta_join.h"
 
 namespace dslog {
-
-namespace {
-
-constexpr const char* kAccessPathNames[3] = {"index_probe", "sorted_sweep",
-                                             "full_scan"};
-
-/// One hop's θ-join, dispatched by direction. `counters` rides through to
-/// the kernels (nullptr = unprofiled).
-BoxTable RunHop(const QueryHop& hop, const BoxTable& current, int num_threads,
-                bool merge, JoinPath join_path, JoinCounters* counters) {
-  if (hop.forward) {
-    return ForwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
-                            join_path, counters);
-  }
-  return BackwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
-                           join_path, &hop.stats, counters);
-}
-
-}  // namespace
 
 BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
                      const QueryOptions& options, QueryProfile* profile) {
@@ -49,80 +31,76 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
       metrics::Registry::Global().counter("dslog.query.hops");
   queries.Increment();
 
-  if (!options.profile || profile == nullptr) {
-    // The unprofiled hot path: identical join calls to every prior
-    // release, plus two relaxed counter adds per query/hop — no planner
-    // estimates, no clock reads, no atomics inside the kernels.
-    BoxTable current = query;
-    for (const QueryHop& hop : hops) {
-      // Inter-hop cancellation boundary: a cancelled query abandons its
-      // partial frontier and returns empty (ProvQuery maps the armed token
-      // to Status::Cancelled; bare callers poll the token themselves).
-      if (options.cancel != nullptr && options.cancel->ShouldStop())
-        return BoxTable();
-      current = RunHop(hop, current, num_threads, merge, options.join_path,
-                       nullptr);
-      hops_run.Increment();
-      if (current.empty()) break;
-    }
-    return current;
+  // The profile is a nullable sink. Unset, the loop below reads no clock,
+  // opens no trace span, hands the joins no JoinCounters and records no
+  // profile-only metric: the only instrumentation left is the two relaxed
+  // counter adds per query/hop above and below. Set, tracing is on for the
+  // query's duration and every hop gets a timer and JoinCounters, which
+  // the kernels touch once per invocation (see query/theta_join.h).
+  if (!options.profile) profile = nullptr;
+  std::optional<trace::EnabledScope> trace_on;
+  std::optional<trace::Span> query_span;
+  std::optional<WallTimer> query_timer;
+  if (profile != nullptr) {
+    static metrics::Counter& profiled =
+        metrics::Registry::Global().counter("dslog.query.profiled");
+    profiled.Increment();
+    trace_on.emplace(true);
+    query_span.emplace("InSituQuery", "query");
+    query_span->Arg("hops", static_cast<int64_t>(hops.size()));
+    query_span->Arg("query_boxes", query.num_boxes());
+    query_timer.emplace();
+    if (profile->hops.size() != hops.size()) profile->hops.resize(hops.size());
+    profile->num_threads = num_threads;
+    profile->merge_between_hops = merge;
   }
-
-  // Profiled path: tracing on for the query's duration, per-hop timers and
-  // JoinCounters. The counters themselves are only touched once per kernel
-  // invocation (see JoinCounters in query/theta_join.h).
-  static metrics::Counter& profiled =
-      metrics::Registry::Global().counter("dslog.query.profiled");
-  static metrics::Histogram& query_us =
-      metrics::Registry::Global().histogram("dslog.query.wall_us");
-  profiled.Increment();
-  trace::EnabledScope trace_on(true);
-  trace::Span query_span("InSituQuery", "query");
-  query_span.Arg("hops", static_cast<int64_t>(hops.size()));
-  query_span.Arg("query_boxes", query.num_boxes());
-  WallTimer query_timer;
-  if (profile->hops.size() != hops.size()) profile->hops.resize(hops.size());
-  profile->simd_isa = simd::kIsaName;
-  profile->num_threads = num_threads;
-  profile->merge_between_hops = merge;
 
   BoxTable current = query;
   for (size_t h = 0; h < hops.size(); ++h) {
+    // Inter-hop cancellation boundary: a cancelled query abandons its
+    // partial frontier and returns empty (ProvQuery maps the armed token
+    // to Status::Cancelled; bare callers poll the token themselves).
     if (options.cancel != nullptr && options.cancel->ShouldStop())
       return BoxTable();
     const QueryHop& hop = hops[h];
-    HopProfile& hp = profile->hops[h];
-    hp.forward = hop.forward;
-    hp.table_rows = hop.table.num_rows;
-    hp.requested_path = options.join_path;
-    trace::Span hop_span(hop.forward ? "hop.forward" : "hop.backward",
-                         "query");
-    hop_span.Arg("hop", static_cast<int64_t>(h));
-    hop_span.Arg("query_boxes", current.num_boxes());
-    JoinCounters counters;
-    WallTimer hop_timer;
-    current = RunHop(hop, current, num_threads, merge, options.join_path,
-                     &counters);
-    hp.wall_ms = hop_timer.ElapsedMillis();
-    hp.probes = counters.probes.load(std::memory_order_relaxed);
-    hp.rows_scanned = counters.rows_scanned.load(std::memory_order_relaxed);
-    hp.rows_emitted = counters.rows_emitted.load(std::memory_order_relaxed);
-    hp.result_boxes = current.num_boxes();
-    hp.est_rows = counters.est_rows();
-    for (int k = 0; k < 3; ++k) {
-      hp.path_probes[k] =
-          counters.path_probes[k].load(std::memory_order_relaxed);
-      hp.est_cost_ns[k] = counters.est_cost_ns(k);
+    HopProfile* hp = profile != nullptr ? &profile->hops[h] : nullptr;
+    std::optional<trace::Span> hop_span;
+    std::optional<JoinCounters> counters;
+    std::optional<WallTimer> hop_timer;
+    if (hp != nullptr) {
+      hp->forward = hop.forward;
+      hp->table_rows = hop.table.num_rows;
+      hop_span.emplace(hop.forward ? "hop.forward" : "hop.backward", "query");
+      hop_span->Arg("hop", static_cast<int64_t>(h));
+      hop_span->Arg("query_boxes", current.num_boxes());
+      counters.emplace();
+      hop_timer.emplace();
     }
+    JoinCounters* sink = counters ? &*counters : nullptr;
+    current = hop.forward ? ForwardThetaJoin(current, hop.table, hop.index,
+                                             num_threads, merge, sink)
+                          : BackwardThetaJoin(current, hop.table, hop.index,
+                                              num_threads, merge, sink);
     hops_run.Increment();
-    hop_span.Arg("rows_scanned", hp.rows_scanned);
-    hop_span.Arg("result_boxes", hp.result_boxes);
+    if (hp != nullptr) {
+      hp->wall_ms = hop_timer->ElapsedMillis();
+      hp->probes = counters->probes.load(std::memory_order_relaxed);
+      hp->rows_scanned = counters->rows_scanned.load(std::memory_order_relaxed);
+      hp->rows_emitted = counters->rows_emitted.load(std::memory_order_relaxed);
+      hp->result_boxes = current.num_boxes();
+      hop_span->Arg("rows_scanned", hp->rows_scanned);
+      hop_span->Arg("result_boxes", hp->result_boxes);
+    }
     if (current.empty()) break;
   }
-  profile->wall_ms = query_timer.ElapsedMillis();
-  profile->result_boxes = current.num_boxes();
-  query_us.Record(
-      static_cast<int64_t>(std::llround(profile->wall_ms * 1000.0)));
+  if (profile != nullptr) {
+    static metrics::Histogram& query_us =
+        metrics::Registry::Global().histogram("dslog.query.wall_us");
+    profile->wall_ms = query_timer->ElapsedMillis();
+    profile->result_boxes = current.num_boxes();
+    query_us.Record(
+        static_cast<int64_t>(std::llround(profile->wall_ms * 1000.0)));
+  }
   return current;
 }
 
@@ -156,53 +134,60 @@ std::string Num(double v) {
   return buf;
 }
 
+const char* Bool(bool b) { return b ? "true" : "false"; }
+
+// Appends one `"key": value` member to an open JSON object, comma-separated
+// from the previous member unless the object was just opened.
+void AppendField(std::string* out, const char* key, std::string_view value) {
+  if (out->back() != '{') out->append(", ");
+  out->append("\"").append(key).append("\": ").append(value);
+}
+
+// How a hop's table was served, for ToText.
+const char* StorageKind(const HopProfile& hp) {
+  if (!hp.from_store) return "resident table";
+  if (hp.cache_hit) return "cache-hit";
+  return hp.borrowed ? "borrowed" : "decoded";
+}
+
 }  // namespace
 
 std::string QueryProfile::ToJson() const {
-  std::string out = "{\"simd_isa\": " + ProfileJsonEscape(simd_isa) +
-                    ", \"num_threads\": " + Num(num_threads) +
-                    ", \"merge_between_hops\": " +
-                    (merge_between_hops ? "true" : "false") +
-                    ", \"wall_ms\": " + Num(wall_ms) +
-                    ", \"result_boxes\": " +
-                    Num(static_cast<double>(result_boxes)) + ", \"hops\": [";
+  std::string out = "{";
+  AppendField(&out, "num_threads", Num(num_threads));
+  AppendField(&out, "merge_between_hops", Bool(merge_between_hops));
+  AppendField(&out, "wall_ms", Num(wall_ms));
+  AppendField(&out, "result_boxes", Num(static_cast<double>(result_boxes)));
+  out += ", \"hops\": [";
   for (size_t h = 0; h < hops.size(); ++h) {
     const HopProfile& hp = hops[h];
     if (h > 0) out += ',';
-    out += "\n  {\"hop\": " + Num(static_cast<double>(h)) +
-           ", \"in_arr\": " + ProfileJsonEscape(hp.in_arr) +
-           ", \"out_arr\": " + ProfileJsonEscape(hp.out_arr) +
-           ", \"op_name\": " + ProfileJsonEscape(hp.op_name) +
-           ", \"forward\": " + (hp.forward ? "true" : "false") +
-           ", \"from_store\": " + (hp.from_store ? "true" : "false") +
-           ", \"cache_hit\": " + (hp.cache_hit ? "true" : "false") +
-           ", \"borrowed\": " + (hp.borrowed ? "true" : "false") +
-           ", \"segment_bytes\": " + Num(static_cast<double>(hp.segment_bytes)) +
-           ", \"bytes_decompressed\": " +
-           Num(static_cast<double>(hp.bytes_decompressed)) +
-           ", \"rows_materialized\": " +
-           Num(static_cast<double>(hp.rows_materialized)) +
-           ", \"resolve_us\": " + Num(static_cast<double>(hp.resolve_us)) +
-           ", \"table_rows\": " + Num(static_cast<double>(hp.table_rows)) +
-           ", \"probes\": " + Num(static_cast<double>(hp.probes)) +
-           ", \"rows_scanned\": " + Num(static_cast<double>(hp.rows_scanned)) +
-           ", \"rows_emitted\": " + Num(static_cast<double>(hp.rows_emitted)) +
-           ", \"result_boxes\": " + Num(static_cast<double>(hp.result_boxes)) +
-           ", \"requested_path\": " +
-           ProfileJsonEscape(JoinPathName(hp.requested_path)) +
-           ", \"est_rows\": " + Num(hp.est_rows) + ", \"path_probes\": {";
-    for (int k = 0; k < 3; ++k) {
-      if (k > 0) out += ", ";
-      out += ProfileJsonEscape(kAccessPathNames[k]) + ": " +
-             Num(static_cast<double>(hp.path_probes[k]));
-    }
-    out += "}, \"est_cost_ns\": {";
-    for (int k = 0; k < 3; ++k) {
-      if (k > 0) out += ", ";
-      out += ProfileJsonEscape(kAccessPathNames[k]) + ": " +
-             Num(hp.est_cost_ns[k]);
-    }
-    out += "}, \"wall_ms\": " + Num(hp.wall_ms) + "}";
+    out += "\n  {";
+    AppendField(&out, "hop", Num(static_cast<double>(h)));
+    AppendField(&out, "in_arr", ProfileJsonEscape(hp.in_arr));
+    AppendField(&out, "out_arr", ProfileJsonEscape(hp.out_arr));
+    AppendField(&out, "op_name", ProfileJsonEscape(hp.op_name));
+    AppendField(&out, "forward", Bool(hp.forward));
+    AppendField(&out, "from_store", Bool(hp.from_store));
+    AppendField(&out, "cache_hit", Bool(hp.cache_hit));
+    AppendField(&out, "borrowed", Bool(hp.borrowed));
+    AppendField(&out, "segment_bytes",
+                Num(static_cast<double>(hp.segment_bytes)));
+    AppendField(&out, "bytes_decompressed",
+                Num(static_cast<double>(hp.bytes_decompressed)));
+    AppendField(&out, "rows_materialized",
+                Num(static_cast<double>(hp.rows_materialized)));
+    AppendField(&out, "resolve_us", Num(static_cast<double>(hp.resolve_us)));
+    AppendField(&out, "table_rows", Num(static_cast<double>(hp.table_rows)));
+    AppendField(&out, "probes", Num(static_cast<double>(hp.probes)));
+    AppendField(&out, "rows_scanned",
+                Num(static_cast<double>(hp.rows_scanned)));
+    AppendField(&out, "rows_emitted",
+                Num(static_cast<double>(hp.rows_emitted)));
+    AppendField(&out, "result_boxes",
+                Num(static_cast<double>(hp.result_boxes)));
+    AppendField(&out, "wall_ms", Num(hp.wall_ms));
+    out += '}';
   }
   out += "\n]}";
   return out;
@@ -212,8 +197,8 @@ std::string QueryProfile::ToText() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "query: %.3f ms, %" PRId64
-                " result boxes, %d thread(s), simd=%s, merge=%s\n",
-                wall_ms, result_boxes, num_threads, simd_isa.c_str(),
+                " result boxes, %d thread(s), merge=%s\n",
+                wall_ms, result_boxes, num_threads,
                 merge_between_hops ? "on" : "off");
   std::string out = buf;
   for (size_t h = 0; h < hops.size(); ++h) {
@@ -223,26 +208,15 @@ std::string QueryProfile::ToText() const {
                            : hp.in_arr + " -> " + hp.out_arr;
     std::snprintf(buf, sizeof(buf),
                   "  hop %zu [%s] %s: rows=%" PRId64 " probes=%" PRId64
-                  " scanned=%" PRId64 " (est %.0f) emitted=%" PRId64
-                  " -> %" PRId64 " boxes, %.3f ms\n",
-                  h, hp.forward ? "fwd" : "bwd", edge.c_str(),
-                  hp.table_rows, hp.probes, hp.rows_scanned, hp.est_rows,
-                  hp.rows_emitted, hp.result_boxes, hp.wall_ms);
+                  " scanned=%" PRId64 " emitted=%" PRId64 " -> %" PRId64
+                  " boxes, %.3f ms\n",
+                  h, hp.forward ? "fwd" : "bwd", edge.c_str(), hp.table_rows,
+                  hp.probes, hp.rows_scanned, hp.rows_emitted,
+                  hp.result_boxes, hp.wall_ms);
     out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "        paths: probe=%" PRId64 " sweep=%" PRId64 " scan=%" PRId64
-        "%s%s; storage: %s%s\n",
-        hp.path_probes[0], hp.path_probes[1], hp.path_probes[2],
-        hp.requested_path == JoinPath::kAuto ? "" : " forced=",
-        hp.requested_path == JoinPath::kAuto ? ""
-                                             : JoinPathName(hp.requested_path),
-        !hp.from_store    ? "resident"
-        : hp.cache_hit    ? "cache-hit"
-        : hp.borrowed     ? "borrowed"
-                          : "decoded",
-        hp.from_store ? "" : " table");
-    out += buf;
+    out += "        storage: ";
+    out += StorageKind(hp);
+    out += '\n';
     if (hp.from_store && !hp.cache_hit) {
       std::snprintf(buf, sizeof(buf),
                     "        resolve: %" PRId64 " us, %" PRId64

@@ -16,7 +16,6 @@
 #include "provrc/compressed_table.h"
 #include "provrc/interval_index.h"
 #include "query/box.h"
-#include "query/join_planner.h"
 
 namespace dslog {
 
@@ -48,12 +47,6 @@ struct QueryHop {
   /// hops over lazily-decoded LogStore segments pin the cache entry here
   /// so a concurrent eviction cannot free it mid-query.
   std::shared_ptr<const void> pin;
-  /// Output-attribute-0 interval-column stats for the join planner,
-  /// available without touching the segment bytes (LogStore footers
-  /// carry them). Backward hops only — a forward hop probes a different
-  /// column, so its planner uses the forward index's own exact stats.
-  /// Default (invalid) falls back to the hop index's exact stats.
-  IntervalColumnStats stats;
 };
 
 /// Per-hop observability record of a profiled query. Storage fields are
@@ -81,16 +74,6 @@ struct HopProfile {
   int64_t rows_scanned = 0;  // candidate rows the interval index enumerated
   int64_t rows_emitted = 0;  // boxes emitted by the kernels (pre-Merge)
   int64_t result_boxes = 0;  // boxes handed to the next hop (post-Merge)
-  /// The path the caller requested (kAuto = planner decides per probe).
-  JoinPath requested_path = JoinPath::kAuto;
-  /// Probes resolved to each concrete AccessPath (index by AccessPath:
-  /// kIndexProbe, kSortedSweep, kFullScan).
-  int64_t path_probes[3] = {0, 0, 0};
-  /// Planner-expected candidate rows (sum over probes) — compare against
-  /// rows_scanned for the mispredict ratio.
-  double est_rows = 0.0;
-  /// Planner cost-model output per path in relative ns (sum over probes).
-  double est_cost_ns[3] = {0.0, 0.0, 0.0};
   double wall_ms = 0.0;
 };
 
@@ -98,7 +81,6 @@ struct HopProfile {
 /// Collection costs one JoinCounters flush per kernel invocation and a few
 /// clock reads per hop — nothing in the per-candidate inner loops.
 struct QueryProfile {
-  std::string simd_isa;  // compile-time SIMD dispatch (common/simd.h)
   int num_threads = 1;
   bool merge_between_hops = true;
   double wall_ms = 0.0;
@@ -123,16 +105,10 @@ struct QueryOptions {
   /// Results are set-equivalent across settings. DSLog::ProvQueryBatch
   /// also uses this as the fan-out width across batch entries.
   int num_threads = 1;
-  /// Access-path selection for every θ-join probe of the query. kAuto
-  /// lets the cost-based planner (query/join_planner.h) choose per probe
-  /// from the hop's interval-column stats; the other values force the
-  /// index probe / SIMD sorted sweep / SIMD full scan. Any setting
-  /// returns bit-identical results — this knob only trades time.
-  JoinPath join_path = JoinPath::kAuto;
   /// Collect a QueryProfile (pass one to InSituQuery/ProvQuery) and enable
   /// trace spans (common/trace.h) for the query's duration. false keeps
-  /// the hot path exactly as unprofiled builds always ran it: no planner
-  /// estimates, no atomics in join inner loops, no clock reads per hop.
+  /// the hot path free of instrumentation: no clock reads, no trace spans,
+  /// no join counters, no profile-only metrics.
   bool profile = false;
   /// Cooperative cancellation, polled at hop boundaries only (never inside
   /// a join inner loop): DSLog::ProvQuery polls before resolving each
@@ -150,7 +126,7 @@ struct QueryOptions {
 /// With `options.profile` set and `profile` non-null, fills `profile` with
 /// per-hop execution detail; hop entries that already exist (DSLog::
 /// ProvQuery pre-fills edge identity and segment-resolution fields) keep
-/// those fields and gain the join fields.
+/// those fields and gain the join fields. Otherwise `profile` is ignored.
 BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
                      const QueryOptions& options = {},
                      QueryProfile* profile = nullptr);

@@ -20,14 +20,6 @@
 // (The published rel_for formula is garbled; see docs/ARCHITECTURE.md for
 // the derivation used here, which property tests validate against the
 // uncompressed ground truth.)
-//
-// Every join takes a JoinPath: how each probe enumerates the interval
-// index — pruned tree probe, SIMD sorted sweep, or SIMD full scan
-// (provrc/interval_index.h). The default kAuto asks the cost-based planner
-// (query/join_planner.h) per probe, using the hop's interval-column stats
-// (LogStore footers carry them per segment; otherwise the index's own
-// exact stats). All paths emit candidates in the same order, so the result
-// is bit-identical whatever the planner (or a forced path) picks.
 
 #ifndef DSLOG_QUERY_THETA_JOIN_H_
 #define DSLOG_QUERY_THETA_JOIN_H_
@@ -39,7 +31,6 @@
 #include "provrc/compressed_table.h"
 #include "provrc/interval_index.h"
 #include "query/box.h"
-#include "query/join_planner.h"
 
 namespace dslog {
 
@@ -47,10 +38,8 @@ namespace dslog {
 /// that keeps profiling out of the hot path: kernels count into plain
 /// local integers and flush them here ONCE per kernel invocation — with a
 /// partitioned join, once per partition — so the per-candidate inner loop
-/// never touches an atomic, profiled or not. With `counters == nullptr`
-/// (the default everywhere) the kernels also skip the planner's
-/// cost-estimate bookkeeping entirely. Planner estimates accumulate as
-/// fixed-point x1000 integers so the sink needs no atomic<double>.
+/// never touches an atomic, profiled or not. `counters == nullptr` (the
+/// default everywhere) skips the flush.
 struct JoinCounters {
   /// Query boxes evaluated (index probes issued).
   std::atomic<int64_t> probes{0};
@@ -58,28 +47,6 @@ struct JoinCounters {
   std::atomic<int64_t> rows_scanned{0};
   /// Boxes emitted by the kernels, before any Merge canonicalization.
   std::atomic<int64_t> rows_emitted{0};
-  /// Probes resolved to each concrete AccessPath (index by AccessPath).
-  std::atomic<int64_t> path_probes[3] = {};
-  /// Planner-expected candidate rows, x1000 (sum over probes).
-  std::atomic<int64_t> est_rows_x1000{0};
-  /// Planner per-path cost model output in ns x1000 (index by AccessPath).
-  std::atomic<int64_t> est_cost_ns_x1000[3] = {};
-
-  int64_t path_probes_total() const {
-    return path_probes[0].load(std::memory_order_relaxed) +
-           path_probes[1].load(std::memory_order_relaxed) +
-           path_probes[2].load(std::memory_order_relaxed);
-  }
-  double est_rows() const {
-    return static_cast<double>(
-               est_rows_x1000.load(std::memory_order_relaxed)) /
-           1000.0;
-  }
-  double est_cost_ns(int path) const {
-    return static_cast<double>(
-               est_cost_ns_x1000[path].load(std::memory_order_relaxed)) /
-           1000.0;
-  }
 };
 
 // All joins accept a `num_threads` knob: when >= 2 the query-box table is
@@ -99,22 +66,17 @@ struct JoinCounters {
 
 /// Backward θ-join: query boxes over output attributes -> input-cell boxes.
 /// `index` is the table's out-attr-0 interval index; pass nullptr to have
-/// the kernel build an ephemeral one for this call. `stats` are the probe
-/// column's stats for the planner (e.g. from the segment's footer
-/// entry); nullptr or invalid stats fall back to the index's own.
+/// the kernel build an ephemeral one for this call.
 BoxTable BackwardThetaJoin(const BoxTable& query,
                            const CompressedTableView& table,
                            const IntervalIndex* index = nullptr,
                            int num_threads = 1, bool merge_result = false,
-                           JoinPath join_path = JoinPath::kAuto,
-                           const IntervalColumnStats* stats = nullptr,
                            JoinCounters* counters = nullptr);
 
 /// Convenience overload over an owned table: uses (and lazily builds) the
 /// table's cached index.
 BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                            int num_threads = 1, bool merge_result = false,
-                           JoinPath join_path = JoinPath::kAuto,
                            JoinCounters* counters = nullptr);
 
 /// Forward θ-join evaluated directly on the backward representation:
@@ -122,20 +84,16 @@ BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
 /// table's implied-input-attribute-0 interval index (BuildForwardIndex,
 /// cached by CompressedTable::ForwardIndex and by LogStore segments);
 /// pass nullptr to have the kernel build an ephemeral one for this call.
-/// The planner always uses that index's exact stats (footer stats describe
-/// the *output* column and do not apply here).
 BoxTable ForwardThetaJoin(const BoxTable& query,
                           const CompressedTableView& table,
                           const IntervalIndex* index = nullptr,
                           int num_threads = 1, bool merge_result = false,
-                          JoinPath join_path = JoinPath::kAuto,
                           JoinCounters* counters = nullptr);
 
 /// Convenience overload over an owned table: uses (and lazily builds) the
 /// table's cached forward index.
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                           int num_threads = 1, bool merge_result = false,
-                          JoinPath join_path = JoinPath::kAuto,
                           JoinCounters* counters = nullptr);
 
 }  // namespace dslog

@@ -407,15 +407,6 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     hop.table = pinned.view;
     hop.forward = forward;
     hop.index = pinned.index;
-    // Planner stats from the segment's footer entry, for backward hops
-    // only (a forward hop probes the implied input-attribute-0 column, not
-    // out-attr 0). Read id-addressed so the store never materializes its
-    // segment vector on the query path; segments whose footer entry carries
-    // no stats yield the default-invalid stats and the joins fall back to
-    // the hop index's exact stats.
-    if (!forward && edge.segment >= 0 && store != nullptr)
-      hop.stats =
-          store->segment_out0_stats(static_cast<size_t>(edge.segment));
     auto pin = std::make_shared<HopPin>();
     pin->table = std::move(edge.table);
     pin->store_pin = std::move(pinned.pin);
@@ -541,7 +532,6 @@ struct EdgeSegmentBytes {
   std::string bytes;
   SegmentLayout layout = SegmentLayout::kProvRcGzip;
   int64_t row_count = -1;
-  IntervalColumnStats out0_stats;  // planner stats; invalid when unknown
 };
 
 Result<EdgeSegmentBytes> SerializedEdgeSegment(const LogStore* store,
@@ -553,16 +543,13 @@ Result<EdgeSegmentBytes> SerializedEdgeSegment(const LogStore* store,
         store->segment_info(static_cast<size_t>(segment));
     DSLOG_ASSIGN_OR_RETURN(std::string_view bytes,
                            store->SegmentView(static_cast<size_t>(segment)));
-    return EdgeSegmentBytes{std::string(bytes), seg.layout, seg.row_count,
-                            seg.out0_stats};
+    return EdgeSegmentBytes{std::string(bytes), seg.layout, seg.row_count};
   }
   if (preferred == SegmentLayout::kColumnar)
     return EdgeSegmentBytes{SerializeCompressedTableColumnar(*table),
-                            SegmentLayout::kColumnar, table->num_rows(),
-                            ComputeOut0Stats(*table)};
+                            SegmentLayout::kColumnar, table->num_rows()};
   return EdgeSegmentBytes{SerializeCompressedTableGzip(*table),
-                          SegmentLayout::kProvRcGzip, table->num_rows(),
-                          ComputeOut0Stats(*table)};
+                          SegmentLayout::kProvRcGzip, table->num_rows()};
 }
 
 }  // namespace
@@ -601,8 +588,7 @@ Status DSLog::SaveLogStore(const std::string& path,
                                                  edge.table.get(), layout));
     DSLOG_RETURN_IF_ERROR(
         writer.AppendRawSegment(edge.in_arr, edge.out_arr, edge.op_name,
-                                seg.bytes, seg.layout, seg.row_count,
-                                seg.out0_stats));
+                                seg.bytes, seg.layout, seg.row_count));
   }
   return writer.Finish();
 }
@@ -653,8 +639,7 @@ Status DSLog::AppendLogStore(const std::string& path,
     }
     DSLOG_RETURN_IF_ERROR(
         writer.AppendRawSegment(edge.in_arr, edge.out_arr, edge.op_name,
-                                seg.bytes, seg.layout, seg.row_count,
-                                seg.out0_stats));
+                                seg.bytes, seg.layout, seg.row_count));
   }
   return writer.Finish();
 }

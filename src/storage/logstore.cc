@@ -38,10 +38,10 @@ constexpr size_t kRecLength = 8;     // u64 segment byte length
 constexpr size_t kRecChecksum = 16;  // u64 FNV-64 of the segment bytes
 constexpr size_t kRecNameOff = 24;   // u64 offset into the name heap
 constexpr size_t kRecRowCount = 32;  // i64 (-1 unknown)
-constexpr size_t kRecSumWidth = 40;  // i64 planner stats (-1 unknown)
-constexpr size_t kRecMinLo = 48;     // i64
-constexpr size_t kRecMaxLo = 56;     // i64
-constexpr size_t kRecMaxHi = 64;     // i64
+// Bytes 40..71 are four reserved i64 slots. Older writers stored
+// output-attribute-0 stats there; readers ignore them, and the writer
+// fills them with the encoding those writers used for "unknown".
+constexpr int64_t kReservedSlots[4] = {-1, 0, 0, -1};
 constexpr size_t kRecInLen = 72;     // u32 in_arr name length
 constexpr size_t kRecOutLen = 76;    // u32 out_arr name length
 constexpr size_t kRecOpLen = 80;     // u32 op_name length
@@ -90,26 +90,6 @@ inline int64_t LoadI64(const char* p) {
   return static_cast<int64_t>(LoadU64(p));
 }
 
-/// Join-planner stats of one flat record. Stats are known only when the
-/// record says so (sum_width and row count >= 0) and max_lo - min_lo is a
-/// non-negative int64: a record no writer produces (sum_width < -1, row
-/// count < -1, min_lo > max_lo) reads as unknown (row_count = -1), so the
-/// cost model never sees a non-positive or overflowing lo span.
-IntervalColumnStats DecodeRecordStats(const char* rec) {
-  IntervalColumnStats st;
-  st.sum_width = LoadI64(rec + kRecSumWidth);
-  st.min_lo = LoadI64(rec + kRecMinLo);
-  st.max_lo = LoadI64(rec + kRecMaxLo);
-  st.max_hi = LoadI64(rec + kRecMaxHi);
-  const int64_t rows = LoadI64(rec + kRecRowCount);
-  const bool known =
-      st.sum_width >= 0 && rows >= 0 && st.min_lo <= st.max_lo &&
-      static_cast<uint64_t>(st.max_lo) - static_cast<uint64_t>(st.min_lo) <=
-          static_cast<uint64_t>(INT64_MAX);
-  st.row_count = known ? rows : -1;
-  return st;
-}
-
 /// Name-heap views of one flat record. false when the record's name extent
 /// falls outside the heap — impossible on a checksum-verified footer,
 /// surfaced as Corruption or empty names rather than UB if it ever happens.
@@ -137,7 +117,6 @@ LogStore::SegmentInfo DecodeRecord(const char* rec, std::string_view heap) {
   seg.length = LoadU64(rec + kRecLength);
   seg.checksum = LoadU64(rec + kRecChecksum);
   seg.row_count = LoadI64(rec + kRecRowCount);
-  seg.out0_stats = DecodeRecordStats(rec);
   seg.layout = static_cast<SegmentLayout>(LoadU32(rec + kRecLayout));
   std::string_view in_arr, out_arr, op_name;
   if (RecordNames(rec, heap, &in_arr, &out_arr, &op_name)) {
@@ -264,10 +243,8 @@ std::string EncodeFooter(
     AppendU64(&records, seg.checksum);
     AppendU64(&records, name_off);
     AppendU64(&records, static_cast<uint64_t>(seg.row_count));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.sum_width));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.min_lo));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.max_lo));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.max_hi));
+    for (int64_t slot : kReservedSlots)
+      AppendU64(&records, static_cast<uint64_t>(slot));
     AppendU32(&records, static_cast<uint32_t>(seg.in_arr.size()));
     AppendU32(&records, static_cast<uint32_t>(seg.out_arr.size()));
     AppendU32(&records, static_cast<uint32_t>(seg.op_name.size()));
@@ -336,28 +313,6 @@ inline void BumpRelaxed(std::atomic<int64_t>& c, int64_t d = 1) {
 
 }  // namespace
 
-IntervalColumnStats ComputeOut0Stats(const CompressedTable& table) {
-  const CompressedTableView v = table.view();
-  const int64_t n = v.num_rows;
-  const int64_t w = v.stride();
-  IntervalColumnStats st;
-  st.row_count = n;
-  st.sum_width = 0;
-  if (n == 0) return st;  // valid, empty column
-  st.min_lo = v.lo[0];
-  st.max_lo = v.lo[0];
-  st.max_hi = v.hi[0];
-  for (int64_t r = 0; r < n; ++r) {
-    const int64_t lo = v.lo[r * w];
-    const int64_t hi = v.hi[r * w];
-    st.min_lo = std::min(st.min_lo, lo);
-    st.max_lo = std::max(st.max_lo, lo);
-    st.max_hi = std::max(st.max_hi, hi);
-    st.sum_width += hi - lo + 1;
-  }
-  return st;
-}
-
 // ----------------------------------------------------------------- reader --
 
 Result<std::unique_ptr<LogStore>> LogStore::Open(
@@ -418,10 +373,6 @@ LogStore::SegmentInfo LogStore::segment_info(size_t id) const {
 
 int64_t LogStore::segment_length(size_t id) const {
   return LoadI64(Rec(id) + kRecLength);
-}
-
-IntervalColumnStats LogStore::segment_out0_stats(size_t id) const {
-  return DecodeRecordStats(Rec(id));
 }
 
 Result<std::string_view> LogStore::SegmentView(size_t id) const {
@@ -780,7 +731,7 @@ Status LogStoreWriter::AppendEdge(const std::string& in_arr,
                           layout == SegmentLayout::kColumnar
                               ? SerializeCompressedTableColumnar(table)
                               : SerializeCompressedTableGzip(table),
-                          layout, table.num_rows(), ComputeOut0Stats(table));
+                          layout, table.num_rows());
 }
 
 Status LogStoreWriter::AppendRawSegment(const std::string& in_arr,
@@ -788,8 +739,7 @@ Status LogStoreWriter::AppendRawSegment(const std::string& in_arr,
                                         const std::string& op_name,
                                         std::string_view bytes,
                                         SegmentLayout layout,
-                                        int64_t row_count,
-                                        const IntervalColumnStats& out0_stats) {
+                                        int64_t row_count) {
   if (finished_) return Status::Internal("logstore writer already finished");
   // Columnar segments must start 8-aligned in the file so a mapped reader
   // can reinterpret the arenas in place; pad with dead bytes if the write
@@ -807,7 +757,6 @@ Status LogStoreWriter::AppendRawSegment(const std::string& in_arr,
   seg.checksum = Hash64(bytes);
   seg.layout = layout;
   seg.row_count = row_count;
-  seg.out0_stats = out0_stats;
   new_bytes_.append(bytes);
   auto [it, inserted] =
       edge_index_.try_emplace(EdgeStoreKey(in_arr, out_arr), segments_.size());

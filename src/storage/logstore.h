@@ -117,11 +117,6 @@ inline uint64_t EdgeKeyHash(std::string_view in_arr,
   return Hash64(out_arr, h);
 }
 
-/// Exact output-attribute-0 interval-column stats of a table — one strided
-/// pass. Writers stamp these into footers so readers can plan θ-joins
-/// against a segment without resolving it.
-IntervalColumnStats ComputeOut0Stats(const CompressedTable& table);
-
 /// On-disk encoding of one segment's table bytes.
 enum class SegmentLayout : uint32_t {
   /// ProvRC-GZip (the paper's storage default): smallest bytes, decoded
@@ -194,12 +189,6 @@ class LogStore {
     uint64_t checksum = 0;  // FNV-64 over the segment bytes
     SegmentLayout layout = SegmentLayout::kProvRcGzip;
     int64_t row_count = -1;  // -1 = unknown
-    /// Output-attribute-0 interval-column stats: the join planner's
-    /// cost-model inputs, readable without touching the segment bytes.
-    /// Invalid (default) on raw-shuttled segments whose source had no
-    /// stats, and on records whose stats are inconsistent — the planner
-    /// then falls back to the resolved index's exact stats.
-    IntervalColumnStats out0_stats;
   };
 
   /// A resolved segment: the scan view, the join index for the requested
@@ -230,9 +219,6 @@ class LogStore {
 
   /// On-disk byte length of segment `id` without materializing names.
   int64_t segment_length(size_t id) const;
-
-  /// Join-planner stats of segment `id` without materializing names.
-  IntervalColumnStats segment_out0_stats(size_t id) const;
 
   /// Segment id of edge in_arr -> out_arr, or -1 when the store holds no
   /// such edge. With a PHF: one hash, one O(1) PHF probe, one name memcmp
@@ -458,15 +444,13 @@ class LogStoreWriter {
 
   /// Same, but with pre-serialized segment bytes in `layout` (e.g. another
   /// store's SegmentView) — no decode/re-encode.
-  /// `row_count` and `out0_stats` are carried into the footer (-1 = unknown
-  /// count; default-invalid stats when the source carried none).
+  /// `row_count` is carried into the footer (-1 = unknown).
   Status AppendRawSegment(const std::string& in_arr,
                           const std::string& out_arr,
                           const std::string& op_name,
                           std::string_view bytes,
                           SegmentLayout layout = SegmentLayout::kProvRcGzip,
-                          int64_t row_count = -1,
-                          const IntervalColumnStats& out0_stats = {});
+                          int64_t row_count = -1);
 
   /// Attaches the serialized reuse-predictor state ("" to clear).
   void SetPredictorState(std::string blob);

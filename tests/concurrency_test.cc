@@ -164,12 +164,12 @@ TEST(ThreadPoolTest, SubmitRunsTasks) {
   std::atomic<int> ran{0};
   std::mutex mu;
   std::condition_variable cv;
+  // The count moves under `mu`, so the waiter cannot see 16 (and destroy
+  // `cv` on return) while the last task is still inside notify_all.
   for (int i = 0; i < 16; ++i)
     pool.Submit([&] {
-      if (ran.fetch_add(1) + 1 == 16) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (ran.fetch_add(1) + 1 == 16) cv.notify_all();
     });
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return ran.load() == 16; });

@@ -133,11 +133,11 @@ std::set<std::pair<int64_t, int64_t>> ReferencePairs(
   return pairs;
 }
 
-// Every (row, probe) overlap pair the index reports through `path`, with
-// `stride - 1` decoy cells between indexed intervals.
+// Every (row, probe) overlap pair the index reports, with `stride - 1`
+// decoy cells between indexed intervals.
 std::set<std::pair<int64_t, int64_t>> IndexPairs(
     const std::vector<Interval>& rows, const std::vector<Interval>& probes,
-    int64_t stride = 1, AccessPath path = AccessPath::kIndexProbe) {
+    int64_t stride = 1) {
   std::vector<int64_t> lo, hi;
   for (const Interval& iv : rows) {
     lo.push_back(iv.lo);
@@ -150,9 +150,8 @@ std::set<std::pair<int64_t, int64_t>> IndexPairs(
   IntervalIndex index(lo.data(), hi.data(), static_cast<int64_t>(rows.size()),
                       stride);
   std::set<std::pair<int64_t, int64_t>> pairs;
-  std::vector<int32_t> scratch;
   for (size_t j = 0; j < probes.size(); ++j) {
-    index.ForEachOverlapping(probes[j], path, &scratch, [&](int64_t r) {
+    index.ForEachOverlapping(probes[j], [&](int64_t r) {
       auto [it, inserted] = pairs.insert({r, static_cast<int64_t>(j)});
       EXPECT_TRUE(inserted) << "row emitted twice: " << r << "," << j;
     });
@@ -200,15 +199,14 @@ TEST_P(IntervalIndexRandomTest, MatchesNestedLoop) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalIndexRandomTest,
                          ::testing::Range(0, 16));
 
-// ----------------------------------------------- sorted-sweep access path --
+// ------------------------------------------------ interval overlap join --
 
-// Every (left, right) overlap pair, each exactly once, through the index's
-// SIMD sorted-sweep path (binary-searched lo prefix + hi filter).
+// Every (left, right) overlap pair, each exactly once: the right side is
+// indexed and every left interval probes it.
 std::set<std::pair<int64_t, int64_t>> SweepPairs(
     const std::vector<Interval>& left, const std::vector<Interval>& right) {
   std::set<std::pair<int64_t, int64_t>> pairs;
-  for (const auto& [row, probe] :
-       IndexPairs(right, left, 1, AccessPath::kSortedSweep))
+  for (const auto& [row, probe] : IndexPairs(right, left))
     pairs.insert({probe, row});
   return pairs;
 }
@@ -255,8 +253,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSweepRandomTest,
                          ::testing::Range(0, 20));
 
 // Skewed-input stress: points only (short overlap runs), long intervals
-// (most of the lo prefix survives the hi filter), clustered low endpoints
-// (heavy lo ties at the binary-search boundary), and lopsided sizes.
+// (most rows overlap most probes), clustered low endpoints (heavy lo ties
+// inside and across leaf blocks), and lopsided sizes.
 class IntervalSweepStressTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IntervalSweepStressTest, MatchesNestedLoopOnSkewedInputs) {

@@ -760,30 +760,37 @@ TEST(LogStoreCorruptionTest, Version3FooterIsUnsupported) {
   EXPECT_FALSE(LogStoreWriter::OpenForAppend(path).ok());
 }
 
-/// Overwrites the 8-byte (`width` = 8) or 4-byte field at `field_offset` of
-/// segment `id`'s footer record in the store at `path`, then re-seals the
-/// footer checksum so the open succeeds and only the record's own checks
-/// stand between the patched value and the reader. Records are the fixed
-/// 88-byte layout documented in logstore.cc; the record is located by its
-/// (offset, length, checksum) prefix.
-void PatchRecordField(const std::string& path, size_t id, size_t field_offset,
-                      uint64_t value, size_t width) {
-  LogStore::SegmentInfo seg;
-  {
-    auto store = LogStore::Open(path);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    seg = store.value()->segment_info(id);
-  }
-  std::string bytes = ReadFileToString(path).ValueOrDie();
+/// File offset of segment `id`'s footer record within `bytes`, the whole
+/// store file at `path`. Records are the fixed 88-byte layout documented in
+/// logstore.cc; the record is located by its (offset, length, checksum)
+/// prefix. npos when not found.
+size_t RecordPos(const std::string& path, const std::string& bytes,
+                 size_t id) {
+  auto store = LogStore::Open(path);
+  if (!store.ok()) return std::string::npos;
+  const LogStore::SegmentInfo seg = store.value()->segment_info(id);
   size_t pos = bytes.size() - 20;
   uint64_t footer_offset = 0;
-  ASSERT_TRUE(GetFixed64(bytes, &pos, &footer_offset));
+  if (!GetFixed64(bytes, &pos, &footer_offset)) return std::string::npos;
   std::string prefix;
   PutFixed64(&prefix, seg.offset);
   PutFixed64(&prefix, seg.length);
   PutFixed64(&prefix, seg.checksum);
-  const size_t rec = bytes.find(prefix, footer_offset);
+  return bytes.find(prefix, footer_offset);
+}
+
+/// Overwrites the 8-byte (`width` = 8) or 4-byte field at `field_offset` of
+/// segment `id`'s footer record in the store at `path`, then re-seals the
+/// footer checksum so the open succeeds and only the record's own checks
+/// stand between the patched value and the reader.
+void PatchRecordField(const std::string& path, size_t id, size_t field_offset,
+                      uint64_t value, size_t width) {
+  std::string bytes = ReadFileToString(path).ValueOrDie();
+  const size_t rec = RecordPos(path, bytes, id);
   ASSERT_NE(rec, std::string::npos);
+  size_t pos = bytes.size() - 20;
+  uint64_t footer_offset = 0;
+  ASSERT_TRUE(GetFixed64(bytes, &pos, &footer_offset));
   std::memcpy(&bytes[rec + field_offset], &value, width);
   const std::string_view footer(bytes.data() + footer_offset,
                                 bytes.size() - 20 - footer_offset);
@@ -803,7 +810,7 @@ TEST(LogStoreCorruptionTest, UntrustedRecordFieldsAreChecked) {
     ASSERT_TRUE(store.ok());
     id = static_cast<size_t>(store.value()->FindSegmentId("a0", "a1").value());
   }
-  constexpr size_t kOffset = 0, kMinLo = 48, kMaxLo = 56, kLayout = 84;
+  constexpr size_t kOffset = 0, kLayout = 84;
 
   // A segment extent past the end of the file: Corruption at resolve and
   // when an in-situ catalog shuttles the segment into a new file, never a
@@ -827,23 +834,6 @@ TEST(LogStoreCorruptionTest, UntrustedRecordFieldsAreChecked) {
     EXPECT_EQ(resaved.code(), StatusCode::kCorruption) << resaved.ToString();
   }
 
-  // min_lo > max_lo: the stats read as unknown, never as a zero or
-  // negative lo span, and the query still answers from the exact index.
-  PatchRecordField(path, id, kMinLo, 40, 8);
-  PatchRecordField(path, id, kMaxLo, 2, 8);
-  {
-    auto store = LogStore::Open(path);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_FALSE(store.value()->segment_out0_stats(id).valid());
-    EXPECT_EQ(store.value()->segment_info(id).out0_stats.row_count, -1);
-    auto insitu = DSLog::OpenInSitu(path);
-    ASSERT_TRUE(insitu.ok());
-    auto got = insitu.value().ProvQuery({"a1", "a0"},
-                                        BoxTable::FromCells(1, {5}));
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{5}));
-  }
-
   // An unknown layout is Corruption at resolve, not a gzip decode.
   PatchRecordField(path, id, kLayout, 7, 4);
   auto insitu = DSLog::OpenInSitu(path);
@@ -857,39 +847,88 @@ TEST(LogStoreCorruptionTest, UntrustedRecordFieldsAreChecked) {
       << got.status().ToString();
 }
 
-TEST(LogStoreTest, FooterCarriesSegmentStats) {
+// Bytes 40..71 of a footer record are four reserved slots. Older writers
+// stored output-attribute-0 stats there; this writer always fills them
+// with the encoding those writers used for "unknown", and no reader looks
+// at them: a record patched with real or garbage values opens with the
+// same metadata and answers, and re-saving it writes the reserved encoding
+// back.
+TEST(LogStoreTest, ReservedRecordSlotsAreIgnored) {
   DSLog log;
-  BuildChain(&log, 0, 2, 32);
-  const std::string path = TestPath("stats_footer.dsl");
+  BuildChain(&log, 0, 3, 32);
+  const std::string path = TestPath("reserved_slots.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
-  auto store = LogStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_EQ(store.value()->segment_count(), 2u);
-  for (size_t id = 0; id < store.value()->segment_count(); ++id) {
-    const LogStore::SegmentInfo seg = store.value()->segment_info(id);
-    // Identity lineage over 32 cells compresses to one relative interval
-    // row covering out attr 0 = [0, 31]. The footer stats must match the
-    // resolved index's exact stats without touching the segment bytes,
-    // through both the record decode and the id-addressed accessor.
-    ASSERT_TRUE(seg.out0_stats.valid());
-    const IntervalColumnStats by_id = store.value()->segment_out0_stats(id);
-    EXPECT_EQ(by_id.row_count, seg.out0_stats.row_count);
-    EXPECT_EQ(by_id.min_lo, seg.out0_stats.min_lo);
-    EXPECT_EQ(by_id.max_lo, seg.out0_stats.max_lo);
-    EXPECT_EQ(by_id.max_hi, seg.out0_stats.max_hi);
-    EXPECT_EQ(by_id.sum_width, seg.out0_stats.sum_width);
-    EXPECT_EQ(seg.out0_stats.row_count, 1);
-    EXPECT_EQ(seg.out0_stats.min_lo, 0);
-    EXPECT_EQ(seg.out0_stats.max_hi, 31);
-    EXPECT_EQ(seg.out0_stats.sum_width, 32);
-    auto pinned = store.value()->View(id);
-    ASSERT_TRUE(pinned.ok());
-    const IntervalColumnStats& exact = pinned.value().index->stats();
-    EXPECT_EQ(seg.out0_stats.row_count, exact.row_count);
-    EXPECT_EQ(seg.out0_stats.min_lo, exact.min_lo);
-    EXPECT_EQ(seg.out0_stats.max_lo, exact.max_lo);
-    EXPECT_EQ(seg.out0_stats.max_hi, exact.max_hi);
-    EXPECT_EQ(seg.out0_stats.sum_width, exact.sum_width);
+  constexpr size_t kSlots = 40;
+  constexpr int64_t kUnknown[4] = {-1, 0, 0, -1};
+  size_t id = 0;
+  {
+    auto store = LogStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    id = static_cast<size_t>(store.value()->FindSegmentId("a0", "a1").value());
+    const std::string bytes = ReadFileToString(path).ValueOrDie();
+    for (size_t seg = 0; seg < store.value()->segment_count(); ++seg) {
+      const size_t rec = RecordPos(path, bytes, seg);
+      ASSERT_NE(rec, std::string::npos);
+      for (size_t k = 0; k < 4; ++k) {
+        int64_t slot;
+        std::memcpy(&slot, bytes.data() + rec + kSlots + 8 * k, 8);
+        EXPECT_EQ(slot, kUnknown[k]) << "segment " << seg << " slot " << k;
+      }
+    }
+  }
+
+  // Each variant: sum_width, min_lo, max_lo, max_hi as an older writer
+  // stored them for this identity edge, and values no writer produces.
+  const int64_t variants[2][4] = {
+      {32, 0, 0, 31},
+      {-7, INT64_MAX, INT64_MIN, 12345},
+  };
+  auto reference = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string resaved_reference = TestPath("reserved_slots_ref.dsl");
+  ASSERT_TRUE(reference.value().SaveLogStore(resaved_reference).ok());
+  for (size_t v = 0; v < 2; ++v) {
+    const std::string patched =
+        TestPath("reserved_slots_" + std::to_string(v) + ".dsl");
+    ASSERT_TRUE(WriteFile(patched, ReadFileToString(path).ValueOrDie()).ok());
+    for (size_t k = 0; k < 4; ++k)
+      PatchRecordField(patched, id, kSlots + 8 * k,
+                       static_cast<uint64_t>(variants[v][k]), 8);
+    ASSERT_NE(ReadFileToString(patched).ValueOrDie(),
+              ReadFileToString(path).ValueOrDie());
+
+    auto store = LogStore::Open(patched);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const LogStore::SegmentInfo got = store.value()->segment_info(id);
+    const LogStore::SegmentInfo want = SegmentOf(path, "a0", "a1");
+    EXPECT_EQ(got.in_arr, want.in_arr);
+    EXPECT_EQ(got.out_arr, want.out_arr);
+    EXPECT_EQ(got.op_name, want.op_name);
+    EXPECT_EQ(got.offset, want.offset);
+    EXPECT_EQ(got.length, want.length);
+    EXPECT_EQ(got.checksum, want.checksum);
+    EXPECT_EQ(got.layout, want.layout);
+    EXPECT_EQ(got.row_count, want.row_count);
+
+    auto insitu = DSLog::OpenInSitu(patched);
+    ASSERT_TRUE(insitu.ok()) << insitu.status().ToString();
+    for (bool backward : {true, false}) {
+      const auto chain = backward ? ChainPath(3, 0) : ChainPath(0, 3);
+      for (int64_t cell : {0, 5, 31}) {
+        const BoxTable query = BoxTable::FromCells(1, {cell});
+        auto a = insitu.value().ProvQuery(chain, query);
+        auto b = reference.value().ProvQuery(chain, query);
+        ASSERT_TRUE(a.ok() && b.ok())
+            << a.status().ToString() << " / " << b.status().ToString();
+        EXPECT_EQ(a.value().ExpandToCells(), b.value().ExpandToCells())
+            << "variant " << v << " backward=" << backward << " cell=" << cell;
+      }
+    }
+    const std::string resaved = TestPath("reserved_slots_resaved.dsl");
+    ASSERT_TRUE(insitu.value().SaveLogStore(resaved).ok());
+    EXPECT_EQ(ReadFileToString(resaved).ValueOrDie(),
+              ReadFileToString(resaved_reference).ValueOrDie())
+        << "variant " << v;
   }
 }
 
@@ -946,8 +985,7 @@ TEST(LogStoreV4Test, PhfDisabledReaderServesIdenticalResults) {
       ASSERT_TRUE(writer.value()
                       .AppendRawSegment(seg.in_arr, seg.out_arr, seg.op_name,
                                         phf.value()->SegmentView(id).value(),
-                                        seg.layout, seg.row_count,
-                                        seg.out0_stats)
+                                        seg.layout, seg.row_count)
                       .ok());
     }
     ASSERT_TRUE(writer.value().Finish().ok());
@@ -995,7 +1033,6 @@ TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
   const std::string path = TestPath("phf_bits_per_key.dsl");
   CompressedTable table = ProvRcCompress(IdentityRelation(4));
   const std::string bytes = SerializeCompressedTableColumnar(table);
-  const IntervalColumnStats stats = ComputeOut0Stats(table);
   auto writer = LogStoreWriter::Create(path, {});
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   constexpr int kEdges = 2048;
@@ -1006,7 +1043,7 @@ TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
     ASSERT_TRUE(writer.value()
                     .AppendRawSegment("hub", "leaf" + std::to_string(i), "op",
                                       bytes, SegmentLayout::kColumnar,
-                                      table.num_rows(), stats)
+                                      table.num_rows())
                     .ok());
   }
   ASSERT_TRUE(writer.value().Finish().ok());

@@ -1,8 +1,8 @@
 // QueryProfile end-to-end tests: a columnar LogStore reopened in situ is
 // queried with QueryOptions::profile and the per-hop record is asserted
 // exactly — edge identity, segment resolution (cold zero-copy borrow vs
-// warm LRU hit, on-disk byte counts), join execution (rows, probes, access
-// paths, planner estimates), and the invariant that profiling never
+// warm LRU hit, on-disk byte counts), join execution (rows, probes,
+// candidates scanned and emitted), and the invariant that profiling never
 // changes the query result. Also covers ProvQueryBatch profile fan-out,
 // hand-built InSituQuery hop vectors, and the ToJson/ToText exports.
 
@@ -103,7 +103,6 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
   ExpectSameBoxes(result.value(), plain.value());
 
   ASSERT_EQ(profile.hops.size(), static_cast<size_t>(kSteps));
-  EXPECT_FALSE(profile.simd_isa.empty());
   EXPECT_EQ(profile.num_threads, 1);
   EXPECT_TRUE(profile.merge_between_hops);
   EXPECT_EQ(profile.result_boxes, result.value().num_boxes());
@@ -140,8 +139,6 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
     // frontier stays the full array and every hop emits full coverage.
     EXPECT_EQ(hp.table_rows, seg.row_count);
     EXPECT_GE(hp.probes, 1);
-    EXPECT_EQ(hp.path_probes[0] + hp.path_probes[1] + hp.path_probes[2],
-              hp.probes);
     EXPECT_GT(hp.rows_scanned, 0);
     EXPECT_GE(hp.rows_emitted, hp.result_boxes);
     EXPECT_GT(hp.result_boxes, 0);
@@ -251,47 +248,10 @@ TEST(ProfileTest, HandBuiltHopsGetJoinFieldsOnly) {
   for (const HopProfile& hp : profile.hops) {
     EXPECT_EQ(hp.table_rows, 200);
     EXPECT_GE(hp.probes, 1);
-    EXPECT_EQ(hp.path_probes[0] + hp.path_probes[1] + hp.path_probes[2],
-              hp.probes);
     EXPECT_GT(hp.rows_scanned, 0);
   }
   EXPECT_EQ(profile.hops[0].probes, query.num_boxes());
   EXPECT_EQ(profile.hops[1].probes, profile.hops[0].result_boxes);
-}
-
-TEST(ProfileTest, PlannerEstimatesLandInTheProfile) {
-  // 4096 rows: big enough to clear the tiny-table full-scan shortcut, so
-  // the planner runs its cost model and the estimates reach the profile.
-  CompressedTable table({32768}, {32768});
-  CompressedRow row;
-  for (int64_t r = 0; r < 4096; ++r) {
-    row.out = {{4 * r, 4 * r + 3}};
-    row.in = {InputCell::Absolute({r, r})};
-    table.AddRow(row);
-  }
-  std::vector<QueryHop> hops;
-  hops.emplace_back(&table, /*forward=*/false);
-  BoxTable query(1);
-  const Interval box[1] = {{100, 499}};  // overlaps rows 25..124 exactly
-  query.AddBox(box);
-
-  QueryOptions options;
-  options.profile = true;
-  QueryProfile profile;
-  BoxTable result = InSituQuery(hops, query, options, &profile);
-  EXPECT_GT(result.num_boxes(), 0);
-
-  const HopProfile& hp = profile.hops.at(0);
-  EXPECT_EQ(hp.probes, 1);
-  EXPECT_EQ(hp.rows_scanned, 100);
-  EXPECT_GT(hp.est_rows, 0.0);
-  // The model's uniform-spread estimate should land near the truth on
-  // this perfectly uniform table.
-  EXPECT_GT(hp.est_rows, hp.rows_scanned * 0.25);
-  EXPECT_LT(hp.est_rows, hp.rows_scanned * 4.0);
-  // All three paths were costed; the chosen one is recorded.
-  EXPECT_GT(hp.est_cost_ns[0] + hp.est_cost_ns[1] + hp.est_cost_ns[2], 0.0);
-  EXPECT_EQ(hp.path_probes[0] + hp.path_probes[1] + hp.path_probes[2], 1);
 }
 
 TEST(ProfileTest, JsonAndTextExports) {
@@ -309,11 +269,10 @@ TEST(ProfileTest, JsonAndTextExports) {
 
   const std::string json = profile.ToJson();
   for (const char* field :
-       {"\"simd_isa\"", "\"num_threads\"", "\"wall_ms\"", "\"result_boxes\"",
-        "\"hops\"", "\"in_arr\"", "\"op_name\"", "\"cache_hit\"",
-        "\"borrowed\"", "\"segment_bytes\"", "\"rows_scanned\"",
-        "\"est_rows\"", "\"path_probes\"", "\"index_probe\"", "\"full_scan\"",
-        "\"step_0\""}) {
+       {"\"num_threads\"", "\"wall_ms\"", "\"result_boxes\"", "\"hops\"",
+        "\"in_arr\"", "\"op_name\"", "\"cache_hit\"", "\"borrowed\"",
+        "\"segment_bytes\"", "\"probes\"", "\"rows_scanned\"",
+        "\"rows_emitted\"", "\"step_0\""}) {
     EXPECT_NE(json.find(field), std::string::npos) << "missing " << field;
   }
   // Well-formed enough to balance braces (cheap structural check; CI

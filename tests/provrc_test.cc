@@ -64,6 +64,13 @@ TEST(ProvRcTest, PaperFigure1SumExample) {
   EXPECT_TRUE(t1.Decompress().EqualAsSet(rel));
 }
 
+/// Row ids `index` reports overlapping `probe`, in emission order.
+std::vector<int64_t> Hits(const IntervalIndex& index, Interval probe) {
+  std::vector<int64_t> rows;
+  index.ForEachOverlapping(probe, [&](int64_t r) { rows.push_back(r); });
+  return rows;
+}
+
 TEST(CompressedTableTest, ForwardIndexCachedSharedAndInvalidated) {
   // Row 0: out [0,3], input relative to out 0 with delta [0,0] (implied
   // input [0,3]). Row 1: out [4,7], absolute input [10,12].
@@ -77,8 +84,8 @@ TEST(CompressedTableTest, ForwardIndexCachedSharedAndInvalidated) {
 
   std::shared_ptr<const IntervalIndex> f1 = t.ForwardIndex();
   EXPECT_EQ(t.ForwardIndex(), f1);  // built once, then served from cache
-  EXPECT_EQ(f1->stats().min_lo, 0);
-  EXPECT_EQ(f1->stats().max_hi, 12);
+  EXPECT_EQ(Hits(*f1, {0, 0}), std::vector<int64_t>{0});
+  EXPECT_EQ(Hits(*f1, {12, 100}), std::vector<int64_t>{1});
   EXPECT_NE(t.ForwardIndex(), t.BackwardIndex());
 
   // A copy shares the built index instead of rebuilding it.
@@ -89,15 +96,18 @@ TEST(CompressedTableTest, ForwardIndexCachedSharedAndInvalidated) {
   t.set_in_iv(1, 0, {20, 25});
   std::shared_ptr<const IntervalIndex> f2 = t.ForwardIndex();
   EXPECT_NE(f2, f1);
-  EXPECT_EQ(f2->stats().max_hi, 25);
+  EXPECT_EQ(Hits(*f2, {25, 100}), std::vector<int64_t>{1});
+  EXPECT_TRUE(Hits(*f2, {10, 12}).empty());
   EXPECT_EQ(copy.ForwardIndex(), f1);
-  EXPECT_EQ(f1->stats().max_hi, 12);  // pinned holders keep the old index
+  // Pinned holders keep the old index.
+  EXPECT_EQ(Hits(*f1, {10, 12}), std::vector<int64_t>{1});
 
   // set_out_iv moves row 0's implied (relative) input interval too.
   t.set_out_iv(0, 0, {1, 3});
   std::shared_ptr<const IntervalIndex> f3 = t.ForwardIndex();
   EXPECT_NE(f3, f2);
-  EXPECT_EQ(f3->stats().min_lo, 1);
+  EXPECT_TRUE(Hits(*f3, {0, 0}).empty());
+  EXPECT_EQ(Hits(*f3, {1, 1}), std::vector<int64_t>{0});
 }
 
 TEST(ProvRcTest, PaperFigure2AggregateAllToOne) {

@@ -1,9 +1,12 @@
 // Tests for the in-situ query processor: the paper's worked θ-join example,
 // forward/backward equivalence against uncompressed natural joins (the
-// central correctness property), multi-hop pipelines, and the merge
-// optimization.
+// central correctness property), multi-hop pipelines, the merge
+// optimization, and selectivity sweeps of the indexed θ-joins against
+// brute-force scans of the compressed table.
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -385,6 +388,249 @@ TEST_P(RandomPipelineQueryTest, ForwardMatchesGroundTruth) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipelineQueryTest,
                          ::testing::Range(0, 15));
+
+// ------------------------------------------------ selectivity-swept oracle --
+
+/// Bit-identical comparison: same boxes in the same order.
+::testing::AssertionResult SameTable(const BoxTable& a, const BoxTable& b) {
+  if (a.ndim() != b.ndim())
+    return ::testing::AssertionFailure() << "ndim " << a.ndim() << " vs "
+                                         << b.ndim();
+  if (a.num_boxes() != b.num_boxes())
+    return ::testing::AssertionFailure()
+           << "num_boxes " << a.num_boxes() << " vs " << b.num_boxes();
+  for (int64_t i = 0; i < a.num_boxes(); ++i) {
+    auto ba = a.Box(i);
+    auto bb = b.Box(i);
+    for (size_t k = 0; k < ba.size(); ++k) {
+      if (!(ba[k] == bb[k]))
+        return ::testing::AssertionFailure()
+               << "box " << i << " attr " << k << ": [" << ba[k].lo << ","
+               << ba[k].hi << "] vs [" << bb[k].lo << "," << bb[k].hi << "]";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+using BoxList = std::vector<std::vector<Interval>>;
+
+void SortBoxes(BoxList* boxes) {
+  std::sort(boxes->begin(), boxes->end(),
+            [](const std::vector<Interval>& a, const std::vector<Interval>& b) {
+              for (size_t k = 0; k < a.size(); ++k) {
+                if (a[k].lo != b[k].lo) return a[k].lo < b[k].lo;
+                if (a[k].hi != b[k].hi) return a[k].hi < b[k].hi;
+              }
+              return false;
+            });
+}
+
+/// Canonically sorted box list (multiset comparison with the oracles,
+/// which emit in row order while the index emits in sorted-lo order).
+BoxList SortedBoxes(const BoxTable& t) {
+  BoxList boxes;
+  boxes.reserve(static_cast<size_t>(t.num_boxes()));
+  for (int64_t i = 0; i < t.num_boxes(); ++i) {
+    auto b = t.Box(i);
+    boxes.emplace_back(b.begin(), b.end());
+  }
+  SortBoxes(&boxes);
+  return boxes;
+}
+
+/// Naive branchy backward join, independent of the interval index: scans
+/// every row per query box in row order.
+BoxList BruteForceBackward(const BoxTable& query,
+                           const CompressedTableView& t) {
+  const int32_t l = t.out_ndim;
+  const int32_t m = t.in_ndim;
+  const int64_t w = t.stride();
+  BoxList out;
+  for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
+    auto q = query.Box(qb);
+    for (int64_t r = 0; r < t.num_rows; ++r) {
+      const int64_t* row_lo = t.lo + r * w;
+      const int64_t* row_hi = t.hi + r * w;
+      std::vector<Interval> ti(static_cast<size_t>(l));
+      bool hit = true;
+      for (int32_t k = 0; k < l && hit; ++k) {
+        ti[static_cast<size_t>(k)] = {
+            std::max(q[static_cast<size_t>(k)].lo, row_lo[k]),
+            std::min(q[static_cast<size_t>(k)].hi, row_hi[k])};
+        hit = ti[static_cast<size_t>(k)].lo <= ti[static_cast<size_t>(k)].hi;
+      }
+      if (!hit) continue;
+      std::vector<Interval> box(static_cast<size_t>(m));
+      const int32_t* refs = t.ref + r * m;
+      for (int32_t i = 0; i < m; ++i) {
+        if (refs[i] >= 0) {
+          const Interval& base = ti[static_cast<size_t>(refs[i])];
+          box[static_cast<size_t>(i)] = {base.lo + row_lo[l + i],
+                                         base.hi + row_hi[l + i]};
+        } else {
+          box[static_cast<size_t>(i)] = {row_lo[l + i], row_hi[l + i]};
+        }
+      }
+      out.push_back(std::move(box));
+    }
+  }
+  SortBoxes(&out);
+  return out;
+}
+
+/// Naive branchy forward join (clamped rel_for), independent of the
+/// interval index: scans every row per query box in row order.
+BoxList BruteForceForward(const BoxTable& query, const CompressedTableView& t) {
+  const int32_t l = t.out_ndim;
+  const int32_t m = t.in_ndim;
+  const int64_t w = t.stride();
+  BoxList out;
+  for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
+    auto q = query.Box(qb);
+    for (int64_t r = 0; r < t.num_rows; ++r) {
+      const int64_t* row_lo = t.lo + r * w;
+      const int64_t* row_hi = t.hi + r * w;
+      const int32_t* refs = t.ref + r * m;
+      std::vector<Interval> ti(static_cast<size_t>(m));
+      bool hit = true;
+      for (int32_t i = 0; i < m && hit; ++i) {
+        Interval implied{row_lo[l + i], row_hi[l + i]};
+        if (refs[i] >= 0) {
+          implied.lo += row_lo[refs[i]];
+          implied.hi += row_hi[refs[i]];
+        }
+        ti[static_cast<size_t>(i)] = {
+            std::max(q[static_cast<size_t>(i)].lo, implied.lo),
+            std::min(q[static_cast<size_t>(i)].hi, implied.hi)};
+        hit = ti[static_cast<size_t>(i)].lo <= ti[static_cast<size_t>(i)].hi;
+      }
+      if (!hit) continue;
+      std::vector<Interval> box(static_cast<size_t>(l));
+      for (int32_t j = 0; j < l; ++j)
+        box[static_cast<size_t>(j)] = {row_lo[j], row_hi[j]};
+      for (int32_t i = 0; i < m; ++i) {
+        if (refs[i] < 0) continue;
+        Interval& target = box[static_cast<size_t>(refs[i])];
+        target.lo = std::max(target.lo,
+                             ti[static_cast<size_t>(i)].lo - row_hi[l + i]);
+        target.hi = std::min(target.hi,
+                             ti[static_cast<size_t>(i)].hi - row_lo[l + i]);
+      }
+      if (std::all_of(box.begin(), box.end(),
+                      [](const Interval& iv) { return iv.lo <= iv.hi; }))
+        out.push_back(std::move(box));
+    }
+  }
+  SortBoxes(&out);
+  return out;
+}
+
+/// A wide table (l=2, m=3): out attr 0 tiles [0, 4*rows) in width-4
+/// strips, so a probe of width W overlaps ~W/4 rows — selectivity is
+/// directly controllable. The same shape BM_BackwardJoinSweep times.
+CompressedTable MakeWideTable(int64_t rows, uint64_t seed) {
+  const int64_t domain = rows * 4;
+  CompressedTable table({domain, 64}, {domain, 64, 16});
+  Rng rng(seed);
+  CompressedRow row;
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t base = r * 4;
+    row.out = {{base, base + 3}, {rng.UniformRange(0, 60), 0}};
+    row.out[1].hi = row.out[1].lo + 3;
+    row.in = {InputCell::Relative(0, {rng.UniformRange(-2, 2),
+                                      rng.UniformRange(3, 5)}),
+              InputCell::Absolute({rng.UniformRange(0, 32), 0}),
+              InputCell::Absolute({rng.UniformRange(0, 12), 0})};
+    row.in[1].iv.hi = row.in[1].iv.lo + rng.UniformRange(0, 8);
+    row.in[2].iv.hi = row.in[2].iv.lo + rng.UniformRange(0, 3);
+    table.AddRow(row);
+  }
+  return table;
+}
+
+/// `count` query boxes over `attrs` attributes whose attribute 0 has width
+/// frac * domain (the selectivity); attributes 1 and 2 span the table's
+/// full extent (64 and 16 cells).
+BoxTable MakeSweepQuery(int64_t rows, int attrs, int count, double frac,
+                        uint64_t seed) {
+  const int64_t domain = rows * 4;
+  const int64_t width = std::max<int64_t>(
+      1, static_cast<int64_t>(static_cast<double>(domain) * frac));
+  Rng rng(seed);
+  BoxTable q(attrs);
+  for (int i = 0; i < count; ++i) {
+    Interval box[3] = {{0, 0}, {0, 63}, {0, 15}};
+    box[0].lo = rng.UniformRange(0, std::max<int64_t>(0, domain - width));
+    box[0].hi = box[0].lo + width - 1;
+    q.AddBox({box, static_cast<size_t>(attrs)});
+  }
+  return q;
+}
+
+constexpr double kSelectivities[] = {0.001, 0.01, 0.1, 0.5, 1.0};
+
+// Across the selectivity sweep x {1, 4} threads x merge on/off: the
+// unmerged backward join equals the brute-force oracle as a multiset, the
+// merged one covers the same cells, and the table's cached index and an
+// ephemeral per-call index give bit-identical results.
+TEST(ThetaJoinSweepTest, BackwardJoinMatchesOracleAcrossSelectivities) {
+  for (int64_t rows : {257ll, 4096ll}) {
+    CompressedTable table = MakeWideTable(rows, 99);
+    for (double frac : kSelectivities) {
+      BoxTable q = MakeSweepQuery(rows, 2, 12, frac, 7);
+      const BoxList oracle = BruteForceBackward(q, table.view());
+      for (int num_threads : {1, 4}) {
+        const BoxTable unmerged = BackwardThetaJoin(q, table, num_threads);
+        EXPECT_EQ(SortedBoxes(unmerged), oracle)
+            << "rows=" << rows << " frac=" << frac
+            << " threads=" << num_threads;
+        for (bool merge : {false, true}) {
+          const BoxTable got = BackwardThetaJoin(q, table, num_threads, merge);
+          EXPECT_TRUE(SameTable(BackwardThetaJoin(q, table.view(), nullptr,
+                                                  num_threads, merge),
+                                got))
+              << "rows=" << rows << " frac=" << frac
+              << " threads=" << num_threads << " merge=" << merge;
+          if (merge && rows == 257 && frac <= 0.1) {
+            EXPECT_EQ(got.ExpandToCells(), unmerged.ExpandToCells())
+                << "frac=" << frac << " threads=" << num_threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The forward counterpart: forward queries probe the input side (3 attrs;
+// attr 0 spans the same domain as out attr 0, shifted by the relative
+// deltas) through the cached forward index.
+TEST(ThetaJoinSweepTest, ForwardJoinMatchesOracleAcrossSelectivities) {
+  for (int64_t rows : {257ll, 2048ll}) {
+    CompressedTable table = MakeWideTable(rows, 77);
+    for (double frac : kSelectivities) {
+      BoxTable q = MakeSweepQuery(rows, 3, 8, frac, 13);
+      const BoxList oracle = BruteForceForward(q, table.view());
+      for (int num_threads : {1, 4}) {
+        const BoxTable unmerged = ForwardThetaJoin(q, table, num_threads);
+        EXPECT_EQ(SortedBoxes(unmerged), oracle)
+            << "rows=" << rows << " frac=" << frac
+            << " threads=" << num_threads;
+        for (bool merge : {false, true}) {
+          const BoxTable got = ForwardThetaJoin(q, table, num_threads, merge);
+          EXPECT_TRUE(SameTable(ForwardThetaJoin(q, table.view(), nullptr,
+                                                 num_threads, merge),
+                                got))
+              << "rows=" << rows << " frac=" << frac
+              << " threads=" << num_threads << " merge=" << merge;
+          if (merge && rows == 257 && frac <= 0.1) {
+            EXPECT_EQ(got.ExpandToCells(), unmerged.ExpandToCells())
+                << "frac=" << frac << " threads=" << num_threads;
+          }
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dslog
