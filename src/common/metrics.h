@@ -20,8 +20,9 @@
 // Read-side contract: Snapshot() loads every cell with relaxed ordering.
 // Totals are eventually consistent — a snapshot racing writers may miss
 // in-flight increments but never tears a single counter (64-bit atomics).
-// Exact, invariant-preserving statistics (e.g. LogStoreStats) keep their
-// own per-shard synchronized counters and only mirror into the registry.
+// Exact, invariant-preserving statistics (e.g. LogStoreStats) are plain
+// counters read and written under their owner's lock; the registry holds
+// a process-wide mirror of the same events, never the exact numbers.
 
 #ifndef DSLOG_COMMON_METRICS_H_
 #define DSLOG_COMMON_METRICS_H_

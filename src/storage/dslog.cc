@@ -25,6 +25,19 @@ struct HopPin {
   std::shared_ptr<const LogStore> store;
 };
 
+/// ProvRC-compresses `reg`'s captured relations (one table per input
+/// array; none for a predicted registration) and drops the relations.
+/// Runs before any lock: this is the expensive part of ingest and touches
+/// no shared state.
+std::vector<CompressedTable> CompressCaptured(OperationRegistration* reg) {
+  std::vector<CompressedTable> tables;
+  tables.reserve(reg->captured.size());
+  for (const LineageRelation& rel : reg->captured)
+    tables.push_back(ProvRcCompress(rel));
+  reg->captured.clear();
+  return tables;
+}
+
 }  // namespace
 
 void DSLog::InitShards() {
@@ -118,78 +131,90 @@ void DSLog::CommitEdges(std::vector<Edge> edges) {
   }
 }
 
+Status DSLog::CheckArraysLocked(const OperationRegistration& reg) const {
+  if (arrays_.count(reg.out_arr) == 0)
+    return Status::NotFound("output array not defined: " + reg.out_arr);
+  for (const auto& in : reg.in_arrs)
+    if (arrays_.count(in) == 0)
+      return Status::NotFound("input array not defined: " + in);
+  return Status::OK();
+}
+
+Result<std::vector<ReuseOutcome>> DSLog::CommitRegistrations(
+    std::vector<CompressedRegistration>* ops) {
+  std::vector<ReuseOutcome> outcomes(ops->size());
+  // Lineage served from the reuse index, per predicted op.
+  std::vector<std::vector<CompressedTable>> predicted(ops->size());
+  {
+    std::unique_lock lock(catalog_mu_);
+    const auto in_shapes = [this](const OperationRegistration& reg) {
+      std::vector<std::vector<int64_t>> shapes;
+      shapes.reserve(reg.in_arrs.size());
+      for (const auto& in : reg.in_arrs) shapes.push_back(arrays_.at(in));
+      return shapes;
+    };
+    // Every check and every Predict runs before the first predictor
+    // mutation, so an error leaves the catalog untouched.
+    for (size_t i = 0; i < ops->size(); ++i) {
+      const OperationRegistration& reg = (*ops)[i].reg;
+      DSLOG_RETURN_IF_ERROR(CheckArraysLocked(reg));
+      if (!(*ops)[i].tables.empty()) continue;
+      if (!reg.reuse)
+        return Status::InvalidArgument(
+            "no capture provided and reuse disabled for " + reg.op_name);
+      predicted[i] = predictor_.Predict(reg.op_name, reg.args, in_shapes(reg),
+                                        arrays_.at(reg.out_arr));
+      if (predicted[i].empty())
+        return Status::NotFound("no promoted reuse mapping for " +
+                                reg.op_name);
+      if (predicted[i].size() != reg.in_arrs.size())
+        return Status::Internal("table count mismatch");
+      outcomes[i].dim_hit = true;  // served from the reuse index
+    }
+    for (size_t i = 0; i < ops->size(); ++i) {
+      const CompressedRegistration& op = (*ops)[i];
+      if (op.tables.empty() || !op.reg.reuse) continue;
+      outcomes[i] = predictor_.ProcessRegistration(
+          op.reg.op_name, op.reg.args, in_shapes(op.reg),
+          arrays_.at(op.reg.out_arr), op.reg.content_hash, op.tables);
+    }
+  }  // catalog lock released: edge commit takes only the target shards.
+
+  std::vector<Edge> edges;
+  for (size_t i = 0; i < ops->size(); ++i) {
+    CompressedRegistration& op = (*ops)[i];
+    std::vector<CompressedTable>& tables =
+        op.tables.empty() ? predicted[i] : op.tables;
+    for (size_t k = 0; k < op.reg.in_arrs.size(); ++k) {
+      Edge edge;
+      edge.in_arr = op.reg.in_arrs[k];
+      edge.out_arr = op.reg.out_arr;
+      edge.op_name = op.reg.op_name;
+      edge.table =
+          std::make_shared<const CompressedTable>(std::move(tables[k]));
+      edges.push_back(std::move(edge));
+    }
+  }
+  CommitEdges(std::move(edges));
+  return outcomes;
+}
+
 Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
   if (!reg.captured.empty() && reg.captured.size() != reg.in_arrs.size())
     return Status::InvalidArgument("one captured relation per input required");
   // Fast-fail on unknown arrays before paying for compression. Advisory
-  // only: a concurrent move-assignment can replace the catalog, so the same
-  // check is repeated under the writer lock below.
+  // only: a concurrent move-assignment can replace the catalog, so the
+  // commit repeats the check under the writer lock.
   {
     std::shared_lock lock(catalog_mu_);
-    if (arrays_.count(reg.out_arr) == 0)
-      return Status::NotFound("output array not defined: " + reg.out_arr);
-    for (const auto& in : reg.in_arrs)
-      if (arrays_.count(in) == 0)
-        return Status::NotFound("input array not defined: " + in);
+    DSLOG_RETURN_IF_ERROR(CheckArraysLocked(reg));
   }
-
-  // Compress the captured lineage before taking any lock: this is the
-  // expensive part of ingest and touches no shared state, so concurrent
-  // readers are only blocked for the catalog update.
-  std::vector<CompressedTable> captured_tables;
-  captured_tables.reserve(reg.captured.size());
-  for (const LineageRelation& rel : reg.captured)
-    captured_tables.push_back(ProvRcCompress(rel));
-
-  std::vector<CompressedTable> tables;
-  ReuseOutcome outcome;
-  {
-    std::unique_lock lock(catalog_mu_);
-    auto out_it = arrays_.find(reg.out_arr);
-    if (out_it == arrays_.end())
-      return Status::NotFound("output array not defined: " + reg.out_arr);
-    std::vector<std::vector<int64_t>> in_shapes;
-    for (const auto& in : reg.in_arrs) {
-      auto in_it = arrays_.find(in);
-      if (in_it == arrays_.end())
-        return Status::NotFound("input array not defined: " + in);
-      in_shapes.push_back(in_it->second);
-    }
-    const std::vector<int64_t>& out_shape = out_it->second;
-
-    if (!reg.captured.empty()) {
-      tables = std::move(captured_tables);
-      if (reg.reuse) {
-        outcome = predictor_.ProcessRegistration(
-            reg.op_name, reg.args, in_shapes, out_shape, reg.content_hash,
-            tables);
-      }
-    } else {
-      if (!reg.reuse)
-        return Status::InvalidArgument(
-            "no capture provided and reuse disabled for " + reg.op_name);
-      tables = predictor_.Predict(reg.op_name, reg.args, in_shapes, out_shape);
-      if (tables.empty())
-        return Status::NotFound("no promoted reuse mapping for " + reg.op_name);
-      outcome.dim_hit = true;  // served from the reuse index
-    }
-  }  // catalog lock released: edge commit takes only the target shard.
-
-  if (tables.size() != reg.in_arrs.size())
-    return Status::Internal("table count mismatch");
-  std::vector<Edge> edges;
-  edges.reserve(reg.in_arrs.size());
-  for (size_t i = 0; i < reg.in_arrs.size(); ++i) {
-    Edge edge;
-    edge.in_arr = reg.in_arrs[i];
-    edge.out_arr = reg.out_arr;
-    edge.op_name = reg.op_name;
-    edge.table =
-        std::make_shared<const CompressedTable>(std::move(tables[i]));
-    edges.push_back(std::move(edge));
-  }
-  CommitEdges(std::move(edges));
-  return outcome;
+  std::vector<CompressedRegistration> ops(1);
+  ops[0].tables = CompressCaptured(&reg);
+  ops[0].reg = std::move(reg);
+  DSLOG_ASSIGN_OR_RETURN(std::vector<ReuseOutcome> outcomes,
+                         CommitRegistrations(&ops));
+  return outcomes[0];
 }
 
 // ----------------------------------------------------------- staged ingest --
@@ -202,11 +227,8 @@ Status StagedIngest::Add(OperationRegistration reg) {
         reg.op_name);
   if (reg.captured.size() != reg.in_arrs.size())
     return Status::InvalidArgument("one captured relation per input required");
-  StagedOp op;
-  op.tables.reserve(reg.captured.size());
-  for (const LineageRelation& rel : reg.captured)
-    op.tables.push_back(ProvRcCompress(rel));
-  reg.captured.clear();
+  DSLog::CompressedRegistration op;
+  op.tables = CompressCaptured(&reg);
   op.reg = std::move(reg);
   ops_.push_back(std::move(op));
   return Status::OK();
@@ -222,46 +244,9 @@ Result<std::vector<ReuseOutcome>> StagedIngest::Drain() {
   trace::Span span("StagedIngest.Drain", "ingest");
   span.Arg("ops", staged());
   WallTimer timer;
-  std::vector<ReuseOutcome> outcomes(ops_.size());
-  {
-    // One catalog-lock round trip for the whole batch: validate every
-    // array, then run reuse bookkeeping for the ops that asked for it.
-    // Validation completes before the first predictor mutation so an error
-    // drain leaves the catalog untouched.
-    std::unique_lock lock(log_->catalog_mu_);
-    for (const StagedOp& op : ops_) {
-      if (log_->arrays_.count(op.reg.out_arr) == 0)
-        return Status::NotFound("output array not defined: " + op.reg.out_arr);
-      for (const auto& in : op.reg.in_arrs)
-        if (log_->arrays_.count(in) == 0)
-          return Status::NotFound("input array not defined: " + in);
-    }
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      StagedOp& op = ops_[i];
-      if (!op.reg.reuse) continue;
-      std::vector<std::vector<int64_t>> in_shapes;
-      for (const auto& in : op.reg.in_arrs)
-        in_shapes.push_back(log_->arrays_.at(in));
-      outcomes[i] = log_->predictor_.ProcessRegistration(
-          op.reg.op_name, op.reg.args, in_shapes,
-          log_->arrays_.at(op.reg.out_arr), op.reg.content_hash, op.tables);
-    }
-  }
-
-  std::vector<DSLog::Edge> edges;
-  for (StagedOp& op : ops_) {
-    for (size_t i = 0; i < op.reg.in_arrs.size(); ++i) {
-      DSLog::Edge edge;
-      edge.in_arr = op.reg.in_arrs[i];
-      edge.out_arr = op.reg.out_arr;
-      edge.op_name = op.reg.op_name;
-      edge.table =
-          std::make_shared<const CompressedTable>(std::move(op.tables[i]));
-      edges.push_back(std::move(edge));
-    }
-  }
+  DSLOG_ASSIGN_OR_RETURN(std::vector<ReuseOutcome> outcomes,
+                         log_->CommitRegistrations(&ops_));
   drained_ops.Add(static_cast<int64_t>(ops_.size()));
-  log_->CommitEdges(std::move(edges));
   ops_.clear();
   drains.Increment();
   drain_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));

@@ -253,6 +253,28 @@ class DSLog {
       const Edge& edge, bool forward, const LogStore* store,
       LogStore::ViewEvent* ev = nullptr) const;
 
+  /// A registration whose captured lineage is already ProvRC-compressed
+  /// (one table per input array). Empty `tables` asks for lineage served
+  /// from the reuse index.
+  struct CompressedRegistration {
+    OperationRegistration reg;  // captured relations already consumed
+    std::vector<CompressedTable> tables;
+  };
+
+  /// NotFound unless every array `reg` names is defined. Caller holds
+  /// catalog_mu_ (shared or exclusive).
+  Status CheckArraysLocked(const OperationRegistration& reg) const;
+
+  /// The one ingest commit, shared by RegisterOperation and
+  /// StagedIngest::Drain. Under one exclusive catalog lock it validates
+  /// every op's arrays and resolves every predicted op (const Predict,
+  /// against the predictor state at entry) before the first
+  /// ProcessRegistration; then it commits all edges in `ops` order. On
+  /// error nothing is committed and `ops` is untouched; on success the
+  /// tables have been moved out of `ops`. Returns one outcome per op.
+  Result<std::vector<ReuseOutcome>> CommitRegistrations(
+      std::vector<CompressedRegistration>* ops);
+
   /// Commits edges into their shards, one writer-lock acquisition per
   /// distinct shard (edges of one operation share a shard by design).
   void CommitEdges(std::vector<Edge> edges);
@@ -292,11 +314,11 @@ class DSLog {
 /// Per-thread staging log for batched ingest — the SmokedDuck
 /// per-thread-log-then-PostProcess capture pattern: Add() validates and
 /// ProvRC-compresses a captured registration with *no* catalog locks held;
-/// Drain() groups the staged edges by catalog shard and commits them,
-/// taking each shard's writer lock exactly once (and the catalog lock once
-/// for array validation + reuse bookkeeping). K ingesting threads each own
-/// a stager, so ingest convoys on neither one global mutex nor a
-/// per-operation lock round trip.
+/// Drain() hands the batch to the commit routine RegisterOperation uses,
+/// which takes the catalog lock once for array validation + reuse
+/// bookkeeping and each shard's writer lock exactly once. K ingesting
+/// threads each own a stager, so ingest convoys on neither one global
+/// mutex nor a per-operation lock round trip.
 ///
 /// Only captured-lineage registrations can be staged (`captured` non-empty):
 /// serving lineage *from* the reuse index would require reading the
@@ -320,13 +342,8 @@ class StagedIngest {
   int64_t staged() const { return static_cast<int64_t>(ops_.size()); }
 
  private:
-  struct StagedOp {
-    OperationRegistration reg;  // captured relations already consumed
-    std::vector<CompressedTable> tables;
-  };
-
   DSLog* log_;
-  std::vector<StagedOp> ops_;
+  std::vector<DSLog::CompressedRegistration> ops_;
 };
 
 }  // namespace dslog

@@ -305,12 +305,6 @@ struct LogStoreMetrics {
   }
 };
 
-/// All ShardStats writes happen under the owning shard's mutex; relaxed
-/// stores keep lock-free readers race-free (see header).
-inline void BumpRelaxed(std::atomic<int64_t>& c, int64_t d = 1) {
-  c.fetch_add(d, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- reader --
@@ -506,7 +500,7 @@ void LogStore::EvictOverBudget(CacheShard& shard) const {
     auto vit = shard.cache.find(victim);
     shard.bytes -= vit->second.charge;
     shard.cache.erase(vit);
-    BumpRelaxed(shard.stats.evictions);
+    ++shard.stats.evictions;
     LogStoreMetrics::Get().evictions.Increment();
   }
 }
@@ -556,14 +550,14 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, bool forward,
     auto it = shard.cache.find(id);
     if (it != shard.cache.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      BumpRelaxed(shard.stats.cache_hits);
+      ++shard.stats.cache_hits;
       lsm.cache_hits.Increment();
       if (ev != nullptr) ev->cache_hit = true;
       std::shared_ptr<const ResolvedSegment> seg = it->second.segment;
       lock.unlock();
       return pinned(std::move(seg));
     }
-    BumpRelaxed(shard.stats.cache_misses);
+    ++shard.stats.cache_misses;
     lsm.cache_misses.Increment();
   }
 
@@ -598,16 +592,16 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, bool forward,
   }
 
   std::unique_lock<std::mutex> lock(shard.mu);
-  BumpRelaxed(shard.stats.decode_count);
-  BumpRelaxed(shard.stats.bytes_decompressed, decompressed);
-  BumpRelaxed(shard.stats.rows_materialized, rows_copied);
+  ++shard.stats.decode_count;
+  shard.stats.bytes_decompressed += decompressed;
+  shard.stats.rows_materialized += rows_copied;
   if (borrowed)
-    BumpRelaxed(shard.stats.segments_borrowed);
+    ++shard.stats.segments_borrowed;
   else
-    BumpRelaxed(shard.stats.tables_materialized);
+    ++shard.stats.tables_materialized;
   if (!touched_[id]) {  // id's shard lock guards touched_[id]; see decl
     touched_[id] = 1;
-    BumpRelaxed(shard.stats.segments_touched);
+    ++shard.stats.segments_touched;
   }
   auto it = shard.cache.find(id);
   if (it != shard.cache.end()) {  // lost the resolve race
@@ -652,19 +646,16 @@ LogStoreStats LogStore::stats() const {
   for (size_t i = 0; i < num_cache_shards_; ++i) {
     CacheShard& shard = cache_shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
-    const ShardStats& s = shard.stats;
-    const auto ld = [](const std::atomic<int64_t>& v) {
-      return v.load(std::memory_order_relaxed);
-    };
-    out.segments_touched += ld(s.segments_touched);
-    out.decode_count += ld(s.decode_count);
-    out.bytes_decompressed += ld(s.bytes_decompressed);
-    out.tables_materialized += ld(s.tables_materialized);
-    out.rows_materialized += ld(s.rows_materialized);
-    out.segments_borrowed += ld(s.segments_borrowed);
-    out.cache_hits += ld(s.cache_hits);
-    out.cache_misses += ld(s.cache_misses);
-    out.evictions += ld(s.evictions);
+    const LogStoreStats& s = shard.stats;
+    out.segments_touched += s.segments_touched;
+    out.decode_count += s.decode_count;
+    out.bytes_decompressed += s.bytes_decompressed;
+    out.tables_materialized += s.tables_materialized;
+    out.rows_materialized += s.rows_materialized;
+    out.segments_borrowed += s.segments_borrowed;
+    out.cache_hits += s.cache_hits;
+    out.cache_misses += s.cache_misses;
+    out.evictions += s.evictions;
   }
   out.segment_count = static_cast<int64_t>(num_segments_);
   return out;

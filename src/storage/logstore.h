@@ -146,15 +146,16 @@ struct LogStoreOptions {
   int cache_shards = 8;
 };
 
-/// Decode/cache counters (test + bench observability). This is the
-/// *snapshot* type returned by LogStore::stats(); the live counters are
-/// per-cache-shard relaxed atomics mutated under the owning shard's mutex,
-/// so a snapshot taken under that mutex is internally consistent for the
-/// shard (its invariants hold: decode_count <= cache_misses,
+/// Decode/cache counters (test + bench observability), returned by
+/// LogStore::stats(). Each cache shard keeps one of these, read and written
+/// only under the shard's mutex, so every shard's counters are a
+/// consistent cut (its invariants hold: decode_count <= cache_misses,
 /// tables_materialized + segments_borrowed == decode_count,
 /// segments_touched <= decode_count). Cross-shard skew is bounded to
 /// events that complete while stats() walks the shards — every event is
 /// counted in exactly one shard, so totals are exact once readers quiesce.
+/// The process-wide `dslog.logstore.*` registry counters mirror these
+/// events across all open stores.
 struct LogStoreStats {
   int64_t segment_count = 0;
   /// Distinct segments resolved at least once since open.
@@ -319,34 +320,16 @@ class LogStore {
       size_t id, int64_t* charge, int64_t* decompressed, bool* borrowed,
       int64_t* rows_copied) const;
 
-  /// Live per-shard counters: relaxed atomics *written only under the
-  /// owning shard's mutex* (so the per-shard invariants documented on
-  /// LogStoreStats always hold between mutations) but readable without it
-  /// — stats() still takes the mutex per shard so each shard's snapshot is
-  /// a consistent cut, while TSan sees no data race from any lock-free
-  /// probing of individual fields.
-  struct ShardStats {
-    std::atomic<int64_t> segments_touched{0};
-    std::atomic<int64_t> decode_count{0};
-    std::atomic<int64_t> bytes_decompressed{0};
-    std::atomic<int64_t> tables_materialized{0};
-    std::atomic<int64_t> rows_materialized{0};
-    std::atomic<int64_t> segments_borrowed{0};
-    std::atomic<int64_t> cache_hits{0};
-    std::atomic<int64_t> cache_misses{0};
-    std::atomic<int64_t> evictions{0};
-  };
-
   /// One lock stripe of the decode cache: segments with
   /// id % num_cache_shards_ == this shard's index. Stats are kept per
   /// shard and summed in stats() so the hot path never touches a shared
   /// counter.
   struct CacheShard {
-    std::mutex mu;  // guards everything below (stats: writes only)
+    std::mutex mu;  // guards everything below
     std::unordered_map<size_t, CacheEntry> cache;
     std::list<size_t> lru;  // front = most recent
     int64_t bytes = 0;
-    ShardStats stats;
+    LogStoreStats stats;  // segment_count unused per shard
   };
 
   CacheShard& ShardFor(size_t id) const {

@@ -214,7 +214,8 @@ std::vector<ChainStep> BuildChain(int num_steps, uint64_t seed,
 
 std::vector<std::string> ChainNames(size_t count) {
   std::vector<std::string> names;
-  for (size_t i = 0; i < count; ++i) names.push_back("x" + std::to_string(i));
+  for (size_t i = 0; i < count; ++i)
+    names.push_back(test_util::Indexed("x", static_cast<int64_t>(i)));
   return names;
 }
 

@@ -91,7 +91,7 @@ std::vector<std::string> ChainPath(int from, int to) {
   std::vector<std::string> path;
   const int step = from <= to ? 1 : -1;
   for (int i = from;; i += step) {
-    path.push_back("a" + std::to_string(i));
+    path.push_back(test_util::Indexed("a", i));
     if (i == to) break;
   }
   return path;

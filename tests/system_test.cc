@@ -19,6 +19,7 @@
 #include "relational/relational_ops.h"
 #include "storage/dslog.h"
 #include "storage/signatures.h"
+#include "test_util.h"
 #include "workloads/kaggle_sim.h"
 #include "workloads/workflows.h"
 
@@ -199,8 +200,8 @@ TEST(DSLogTest, DimSigReuseAfterOneVerification) {
   Rng rng(10);
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
   for (int call = 0; call < 3; ++call) {
-    std::string x = "x" + std::to_string(call);
-    std::string y = "y" + std::to_string(call);
+    std::string x = test_util::Indexed("x", call);
+    std::string y = test_util::Indexed("y", call);
     ASSERT_TRUE(log.DefineArray(x, {32}).ok());
     ASSERT_TRUE(log.DefineArray(y, {32}).ok());
     NDArray xv = NDArray::Random({32}, &rng);
@@ -225,8 +226,8 @@ TEST(DSLogTest, ReuseServesLineageWithoutCapture) {
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
   // Two captured calls promote the dim_sig mapping.
   for (int call = 0; call < 2; ++call) {
-    std::string x = "a" + std::to_string(call);
-    std::string y = "b" + std::to_string(call);
+    std::string x = test_util::Indexed("a", call);
+    std::string y = test_util::Indexed("b", call);
     ASSERT_TRUE(log.DefineArray(x, {24}).ok());
     ASSERT_TRUE(log.DefineArray(y, {24}).ok());
     NDArray xv = NDArray::Random({24}, &rng);
@@ -251,6 +252,43 @@ TEST(DSLogTest, ReuseServesLineageWithoutCapture) {
   EXPECT_EQ(cells[0], 5);
 }
 
+TEST(DSLogTest, RegisterOperationErrorsAreTypedAndCommitNothing) {
+  DSLog log;
+  ASSERT_TRUE(log.DefineArray("x", {8}).ok());
+  ASSERT_TRUE(log.DefineArray("y", {8}).ok());
+  LineageRelation rel(1, 1);
+  rel.set_shapes({8}, {8});
+  for (int64_t i = 0; i < 8; ++i) {
+    const int64_t tuple[2] = {i, i};
+    rel.AddTuple(tuple);
+  }
+  const auto code = [&log](OperationRegistration reg) {
+    return log.RegisterOperation(std::move(reg)).status().code();
+  };
+  EXPECT_EQ(code({"negative", {"x"}, "nope", {rel}, OpArgs(), 1, true}),
+            StatusCode::kNotFound);
+  EXPECT_EQ(code({"negative", {"nope"}, "y", {rel}, OpArgs(), 1, true}),
+            StatusCode::kNotFound);
+  EXPECT_EQ(code({"negative", {"x", "x"}, "y", {rel}, OpArgs(), 1, true}),
+            StatusCode::kInvalidArgument);
+  // No capture: reuse disabled is InvalidArgument, no promoted mapping
+  // NotFound.
+  EXPECT_EQ(code({"negative", {"x"}, "y", {}, OpArgs(), 0, false}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({"negative", {"x"}, "y", {}, OpArgs(), 0, true}),
+            StatusCode::kNotFound);
+  EXPECT_EQ(log.FindEdge("x", "y"), nullptr);
+  // Nor did the failed captured calls reach the predictor: the first valid
+  // registration of the same content is no base hit.
+  auto ok = log.RegisterOperation({"negative", {"x"}, "y", {rel}, OpArgs(), 1,
+                                   true});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_FALSE(ok.value().base_hit);
+  EXPECT_FALSE(ok.value().dim_hit);
+  EXPECT_EQ(log.reuse_stats().base_hits, 0);
+  EXPECT_NE(log.FindEdge("x", "y"), nullptr);
+}
+
 TEST(DSLogTest, GenSigServesDifferentShape) {
   DSLog log;
   Rng rng(12);
@@ -258,8 +296,8 @@ TEST(DSLogTest, GenSigServesDifferentShape) {
   // Calls with two different shapes promote gen_sig.
   int64_t sizes[2] = {16, 28};
   for (int call = 0; call < 2; ++call) {
-    std::string x = "g" + std::to_string(call);
-    std::string y = "h" + std::to_string(call);
+    std::string x = test_util::Indexed("g", call);
+    std::string y = test_util::Indexed("h", call);
     ASSERT_TRUE(log.DefineArray(x, {sizes[call]}).ok());
     ASSERT_TRUE(log.DefineArray(y, {sizes[call]}).ok());
     NDArray xv = NDArray::Random({sizes[call]}, &rng);
@@ -397,8 +435,8 @@ TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
   Rng rng(22);
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
   for (int call = 0; call < 2; ++call) {
-    std::string x = "p" + std::to_string(call);
-    std::string y = "q" + std::to_string(call);
+    std::string x = test_util::Indexed("p", call);
+    std::string y = test_util::Indexed("q", call);
     ASSERT_TRUE(log.DefineArray(x, {24}).ok());
     ASSERT_TRUE(log.DefineArray(y, {24}).ok());
     NDArray xv = NDArray::Random({24}, &rng);
@@ -432,118 +470,162 @@ TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
   EXPECT_EQ(fwd.value().ExpandToCells(), (std::vector<int64_t>{7}));
 }
 
-// --------------------------------------------------- predictor seal format --
+// ------------------------------------------------ predictor state restore --
 
-namespace seal_test {
+namespace restore_test {
 
-/// Identity lineage over 8 cells, the shared payload for promoted entries.
-std::vector<CompressedTable> OneTable() {
+/// Identity lineage over `n` cells.
+CompressedTable Identity(int64_t n) {
   LineageRelation rel(1, 1);
-  rel.set_shapes({8}, {8});
-  for (int64_t i = 0; i < 8; ++i) {
+  rel.set_shapes({n}, {n});
+  for (int64_t i = 0; i < n; ++i) {
     const int64_t tuple[2] = {i, i};
     rel.AddTuple(tuple);
   }
-  return {ProvRcCompress(rel)};
+  return ProvRcCompress(rel);
 }
 
-/// Predictor with `ops` promoted dim signatures op0..op<ops-1> (each
-/// registered twice with identical lineage, the m = 1 promotion).
-ReusePredictor Promoted(int ops, const std::vector<CompressedTable>& tables) {
+OpArgs ArgsK(int k) {
+  OpArgs args;
+  args.SetInt("k", k);
+  return args;
+}
+
+/// Predictor with `ops` promoted dim signatures op0..op<ops-1> over 8
+/// cells (each registered twice with identical lineage, the m = 1
+/// promotion) plus one gen-promoted op "gen" (identity lineage confirmed
+/// on a second, different shape).
+ReusePredictor Promoted(int ops) {
   ReusePredictor p;
-  for (int i = 0; i < ops; ++i) {
-    OpArgs args;
-    args.SetInt("k", i);
+  const std::vector<CompressedTable> tables = {Identity(8)};
+  for (int i = 0; i < ops; ++i)
     for (int rep = 0; rep < 2; ++rep)
-      p.ProcessRegistration("op" + std::to_string(i), args, {{8}}, {8},
+      p.ProcessRegistration("op" + std::to_string(i), ArgsK(i), {{8}}, {8},
                             static_cast<uint64_t>(i), tables);
-  }
+  p.ProcessRegistration("gen", ArgsK(0), {{8}}, {8}, 100, {Identity(8)});
+  p.ProcessRegistration("gen", ArgsK(0), {{16}}, {16}, 101, {Identity(16)});
   return p;
 }
 
-}  // namespace seal_test
-
-TEST(ReusePredictorTest, SealedStateRoundTripsAndServesPromotedLookups) {
-  const std::vector<CompressedTable> tables = seal_test::OneTable();
-  ReusePredictor p = seal_test::Promoted(4, tables);
-  ASSERT_EQ(p.stats().dim_promotions, 4);
-
-  const std::string sealed_blob = p.SerializeState();
-  const std::string legacy_blob = p.SerializeState(/*seal=*/false);
-  // seal = false reproduces the legacy RPS1 bytes exactly; the SEAL section
-  // is strictly appended, so readers that predate it keep working.
-  ASSERT_LT(legacy_blob.size(), sealed_blob.size());
-  EXPECT_EQ(sealed_blob.compare(0, legacy_blob.size(), legacy_blob), 0);
-
-  // A SEAL-carrying blob binds the perfect-hash index directly; a legacy
-  // blob is sealed in memory after the restore. Either way the restored
-  // predictor serves exactly the promoted mappings.
-  for (const std::string* blob : {&sealed_blob, &legacy_blob}) {
-    ReusePredictor r;
-    ASSERT_TRUE(r.RestoreState(*blob).ok());
-    EXPECT_TRUE(r.sealed());
-    for (int i = 0; i < 4; ++i) {
-      OpArgs args;
-      args.SetInt("k", i);
-      auto predicted = r.Predict("op" + std::to_string(i), args, {{8}}, {8});
-      ASSERT_EQ(predicted.size(), 1u);
-      EXPECT_TRUE(predicted[0] == tables[0]);
-      // Absent op / different shape: clean misses through the same index.
-      EXPECT_TRUE(r.Predict("nope" + std::to_string(i), args, {{8}}, {8})
-                      .empty());
-      EXPECT_TRUE(r.Predict("op" + std::to_string(i), args, {{9}}, {9})
-                      .empty());
-    }
+/// Asserts `r` serves exactly Promoted(ops)'s mappings: every promoted
+/// dim op at its shape, the gen op at a fresh shape, and clean misses for
+/// absent ops and for dim ops at another shape.
+void ExpectServesPromoted(const ReusePredictor& r, int ops) {
+  for (int i = 0; i < ops; ++i) {
+    const std::string op = "op" + std::to_string(i);
+    auto predicted = r.Predict(op, ArgsK(i), {{8}}, {8});
+    ASSERT_EQ(predicted.size(), 1u) << op;
+    EXPECT_TRUE(predicted[0] == Identity(8)) << op;
+    EXPECT_TRUE(r.Predict("nope" + std::to_string(i), ArgsK(i), {{8}}, {8})
+                    .empty());
+    EXPECT_TRUE(r.Predict(op, ArgsK(i), {{9}}, {9}).empty()) << op;
   }
+  auto gen = r.Predict("gen", ArgsK(0), {{32}}, {32});
+  ASSERT_EQ(gen.size(), 1u);
+  EXPECT_TRUE(gen[0] == Identity(32));
+  EXPECT_TRUE(r.Predict("gen", ArgsK(1), {{32}}, {32}).empty());
 }
 
-TEST(ReusePredictorTest, PromotionStateChangeUnsealsAndStaysCorrect) {
-  const std::vector<CompressedTable> tables = seal_test::OneTable();
-  ReusePredictor r;
-  ASSERT_TRUE(
-      r.RestoreState(seal_test::Promoted(3, tables).SerializeState()).ok());
-  ASSERT_TRUE(r.sealed());
+void ExpectSameStats(const ReuseStats& a, const ReuseStats& b) {
+  EXPECT_EQ(a.base_hits, b.base_hits);
+  EXPECT_EQ(a.dim_hits, b.dim_hits);
+  EXPECT_EQ(a.gen_hits, b.gen_hits);
+  EXPECT_EQ(a.dim_promotions, b.dim_promotions);
+  EXPECT_EQ(a.gen_promotions, b.gen_promotions);
+  EXPECT_EQ(a.dim_rejections, b.dim_rejections);
+  EXPECT_EQ(a.gen_rejections, b.gen_rejections);
+  EXPECT_EQ(a.mispredictions, b.mispredictions);
+}
 
-  // A misprediction demotes op1 (promoted -> rejected), which invalidates
-  // the sealed indexes; lookups fall back to the maps with no behaviour
-  // change for the still-promoted ops.
+}  // namespace restore_test
+
+TEST(ReusePredictorTest, RestoredStateServesPromotedLookups) {
+  ReusePredictor p = restore_test::Promoted(4);
+  ASSERT_EQ(p.stats().dim_promotions, 4);
+  ASSERT_EQ(p.stats().gen_promotions, 1);
+  restore_test::ExpectServesPromoted(p, 4);
+
+  ReusePredictor r;
+  ASSERT_TRUE(r.RestoreState(p.SerializeState()).ok());
+  restore_test::ExpectServesPromoted(r, 4);
+  restore_test::ExpectSameStats(r.stats(), p.stats());
+  // The restored state serializes back to the same bytes.
+  EXPECT_EQ(r.SerializeState(), p.SerializeState());
+}
+
+TEST(ReusePredictorTest, MispredictionAfterRestoreDemotesOnlyThatOp) {
+  ReusePredictor r;
+  ASSERT_TRUE(r.RestoreState(restore_test::Promoted(3).SerializeState()).ok());
+
+  // Lineage that disagrees with op1's promoted mapping demotes op1
+  // (promoted -> rejected); the other promoted ops keep serving.
   LineageRelation other(1, 1);
   other.set_shapes({8}, {8});
   const int64_t tuple[2] = {0, 7};
   other.AddTuple(tuple);
-  OpArgs args1;
-  args1.SetInt("k", 1);
-  r.ProcessRegistration("op1", args1, {{8}}, {8}, 99, {ProvRcCompress(other)});
-  EXPECT_FALSE(r.sealed());
+  r.ProcessRegistration("op1", restore_test::ArgsK(1), {{8}}, {8}, 99,
+                        {ProvRcCompress(other)});
   EXPECT_EQ(r.stats().mispredictions, 1);
-  EXPECT_TRUE(r.Predict("op1", args1, {{8}}, {8}).empty());
-  OpArgs args0;
-  args0.SetInt("k", 0);
-  EXPECT_EQ(r.Predict("op0", args0, {{8}}, {8}).size(), 1u);
+  EXPECT_TRUE(r.Predict("op1", restore_test::ArgsK(1), {{8}}, {8}).empty());
+  for (int i : {0, 2})
+    EXPECT_EQ(r.Predict("op" + std::to_string(i), restore_test::ArgsK(i),
+                        {{8}}, {8})
+                  .size(),
+              1u);
+  EXPECT_EQ(r.Predict("gen", restore_test::ArgsK(0), {{32}}, {32}).size(), 1u);
 }
 
-TEST(ReusePredictorTest, CorruptSealSectionIsRejectedWithoutStateChange) {
-  const std::vector<CompressedTable> tables = seal_test::OneTable();
-  ReusePredictor p = seal_test::Promoted(3, tables);
+TEST(ReusePredictorTest, CorruptPayloadIsRejectedWithoutStateChange) {
+  ReusePredictor p = restore_test::Promoted(3);
   const std::string good = p.SerializeState();
-  const size_t legacy_size = p.SerializeState(/*seal=*/false).size();
-
-  // Flip a byte inside the SEAL payload (past the 4-byte magic): the
-  // restore must fail as Corruption and leave the target untouched.
-  std::string bad = good;
-  ASSERT_GT(bad.size(), legacy_size + 8);
-  bad[legacy_size + 8] ^= 0x20;
-
   ReusePredictor r;
   ASSERT_TRUE(r.RestoreState(good).ok());
-  Status st = r.RestoreState(bad);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
-  // Prior state intact and still sealed.
-  EXPECT_TRUE(r.sealed());
-  OpArgs args0;
-  args0.SetInt("k", 0);
-  EXPECT_EQ(r.Predict("op0", args0, {{8}}, {8}).size(), 1u);
+
+  // The first base key's length prefix (after the magic, eight one-byte
+  // counter varints and the base count) overwritten with a length far
+  // past the blob's end.
+  std::string bad = good;
+  ASSERT_GT(bad.size(), 17u);
+  bad.replace(13, 4, "\xff\xff\xff\x7f");
+  std::vector<std::string> corrupt = {bad};
+  // Every strict prefix of the payload is missing a declared field.
+  for (size_t n = 0; n < good.size(); n += 7)
+    corrupt.push_back(good.substr(0, n));
+  corrupt.push_back(good.substr(0, good.size() - 1));
+
+  for (const std::string& blob : corrupt) {
+    Status st = r.RestoreState(blob);
+    ASSERT_FALSE(st.ok()) << blob.size();
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  }
+  // Prior state intact.
+  restore_test::ExpectServesPromoted(r, 3);
+  restore_test::ExpectSameStats(r.stats(), p.stats());
+}
+
+TEST(ReusePredictorTest, ParentFormatTrailerIsIgnoredOnRestore) {
+  // Older writers appended a "SEAL" section after the RPS1 payload; the
+  // reader skips it unparsed, whatever its bytes.
+  ReusePredictor p = restore_test::Promoted(4);
+  const std::string payload = p.SerializeState();
+  std::string parent_blob = payload + "SEAL";
+  for (int i = 0; i < 64; ++i) parent_blob.push_back(static_cast<char>(i * 37));
+
+  ReusePredictor bare, parent;
+  ASSERT_TRUE(bare.RestoreState(payload).ok());
+  ASSERT_TRUE(parent.RestoreState(parent_blob).ok());
+  restore_test::ExpectServesPromoted(parent, 4);
+  restore_test::ExpectSameStats(parent.stats(), bare.stats());
+  // Identical Predict answers, hits and misses alike, and the re-written
+  // blob is the bare payload.
+  for (int i = 0; i < 5; ++i)
+    for (int64_t n : {8, 9}) {
+      const std::string op = "op" + std::to_string(i);
+      auto a = bare.Predict(op, restore_test::ArgsK(i), {{n}}, {n});
+      auto b = parent.Predict(op, restore_test::ArgsK(i), {{n}}, {n});
+      EXPECT_TRUE(a == b) << op << " " << n;
+    }
+  EXPECT_EQ(parent.SerializeState(), payload);
 }
 
 // -------------------------------------------------------------- workflows --

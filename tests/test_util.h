@@ -26,6 +26,15 @@ namespace test_util {
 
 using TupleSet = std::set<std::vector<int64_t>>;
 
+/// `prefix` followed by decimal `i` ("a", 3 -> "a3"). Built by appending:
+/// GCC 12 reports a false -Wrestrict on an inlined `"literal" +
+/// std::string&&`.
+inline std::string Indexed(const char* prefix, int64_t i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 /// Groups a flattened tuple stream into a set of `arity`-length tuples.
 inline TupleSet ToTupleSet(const std::vector<int64_t>& flat, int arity) {
   TupleSet out;
