@@ -21,8 +21,8 @@
 // Totals are eventually consistent — a snapshot racing writers may miss
 // in-flight increments but never tears a single counter (64-bit atomics).
 // Exact, invariant-preserving statistics (e.g. LogStoreStats) are plain
-// counters read and written under their owner's lock; the registry holds
-// a process-wide mirror of the same events, never the exact numbers.
+// counters read and written under their owner's lock and are not mirrored
+// here: each event has one counter, in the registry or in its owner.
 
 #ifndef DSLOG_COMMON_METRICS_H_
 #define DSLOG_COMMON_METRICS_H_

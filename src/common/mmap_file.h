@@ -2,12 +2,16 @@
 // fallback. The LogStore maps a whole log file once and serves segment
 // byte ranges as zero-copy views; platforms (or filesystems) where mmap
 // fails fall back to reading the file into an owned buffer, with the same
-// view() interface either way.
+// view() interface either way. Both backings start 8-byte aligned and keep
+// their address across a move, so an 8-aligned file offset is an 8-aligned
+// pointer whichever backing serves it.
 
 #ifndef DSLOG_COMMON_MMAP_FILE_H_
 #define DSLOG_COMMON_MMAP_FILE_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -27,8 +31,9 @@ class MmapFile {
   MmapFile& operator=(MmapFile&& other) noexcept;
 
   /// Opens `path` read-only and maps it. When `allow_mmap` is false — or
-  /// the mapping fails — the file is read into an owned heap buffer
-  /// instead; callers cannot tell the difference except via mapped().
+  /// the mapping fails — the file is read into an owned 8-aligned heap
+  /// buffer instead; callers cannot tell the difference except via
+  /// mapped().
   static Result<MmapFile> Open(const std::string& path, bool allow_mmap = true);
 
   const char* data() const { return data_; }
@@ -48,7 +53,8 @@ class MmapFile {
   void* addr_ = nullptr;  // mmap base, nullptr when not mapped
   const char* data_ = nullptr;
   size_t size_ = 0;
-  std::string fallback_;  // owns the bytes when not mapped
+  /// Owns the bytes when not mapped. Whole words keep the buffer 8-aligned.
+  std::unique_ptr<uint64_t[]> fallback_;
 };
 
 }  // namespace dslog

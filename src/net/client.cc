@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "compress/varint.h"
 
@@ -175,19 +176,6 @@ Status DslogClient::DefineArray(const std::string& name,
       .status();
 }
 
-Result<std::pair<uint64_t, uint64_t>> DslogClient::ReserveOpIds(
-    uint64_t count) {
-  ReserveIdsRequest req;
-  req.count = count;
-  DSLOG_ASSIGN_OR_RETURN(
-      std::string payload,
-      Roundtrip(Opcode::kReserveIds, req.Encode(), Opcode::kReserveIdsOk));
-  ReserveIdsResponse resp;
-  if (!ReserveIdsResponse::Decode(payload, &resp))
-    return Status::Internal("malformed ReserveIdsOk");
-  return std::make_pair(resp.base, resp.count);
-}
-
 Result<int64_t> DslogClient::ShipIngestBlock(uint64_t num_ops,
                                              std::string_view block) {
   std::string payload;
@@ -249,21 +237,15 @@ Status DslogClient::Bye() {
 }
 
 Result<uint64_t> IngestHandle::Add(const OperationRegistration& reg) {
-  if (ids_remaining_ == 0) {
-    DSLOG_ASSIGN_OR_RETURN(auto block, client_->ReserveOpIds(id_block_size_));
-    next_id_ = block.first;
-    ids_remaining_ = block.second;
-  }
-  const uint64_t id = next_id_++;
-  --ids_remaining_;
-  AppendWireOperation(&block_, id, reg);
+  AppendWireOperation(&block_, reg);
   ++ops_in_block_;
   ++ops_added_;
-  if (ops_in_block_ >= id_block_size_ ||
+  const uint64_t index = ops_since_drain_++;
+  if (ops_in_block_ >= max_block_ops_ ||
       static_cast<int64_t>(block_.size()) >= data_block_bytes_) {
     DSLOG_RETURN_IF_ERROR(Flush());
   }
-  return id;
+  return index;
 }
 
 Status IngestHandle::Flush() {
@@ -282,7 +264,10 @@ Status IngestHandle::Flush() {
 
 Result<std::vector<ReuseOutcome>> IngestHandle::Drain() {
   DSLOG_RETURN_IF_ERROR(Flush());
-  return client_->Drain();
+  DSLOG_ASSIGN_OR_RETURN(std::vector<ReuseOutcome> outcomes,
+                         client_->Drain());
+  ops_since_drain_ = 0;
+  return outcomes;
 }
 
 }  // namespace net

@@ -1,8 +1,7 @@
 // Client side of the lineage service: a blocking single-requester
-// connection (DslogClient) plus the netplay-style batching handle
-// (IngestHandle) that reserves operation-id blocks and ships data blocks,
-// so steady-state ingest pays one round trip per *block*, not per
-// operation.
+// connection (DslogClient) plus the batching handle (IngestHandle) that
+// accretes operations into data blocks, so steady-state ingest pays one
+// round trip per *block*, not per operation.
 //
 // Threading: one thread drives requests on a client at a time (requests
 // are strict request/response round trips). Cancel() is the one
@@ -17,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -59,13 +57,10 @@ class DslogClient {
   Status OpenStore(const std::string& store, bool create = true);
   Status DefineArray(const std::string& name, std::vector<int64_t> shape);
 
-  /// Reserves `count` operation ids; returns {base, count}. Usually called
-  /// through an IngestHandle rather than directly.
-  Result<std::pair<uint64_t, uint64_t>> ReserveOpIds(uint64_t count);
-
-  /// Ships one pre-encoded ingest data block (varint op count + encoded
-  /// WireOperations). Returns the server's total staged count. Takes a
-  /// view: on failure the caller still owns the block and may retry.
+  /// Ships one pre-encoded ingest data block (`num_ops` operations encoded
+  /// with AppendWireOperation). Returns the server's total staged count.
+  /// Takes a view: on failure the caller still owns the block and may
+  /// retry.
   Result<int64_t> ShipIngestBlock(uint64_t num_ops, std::string_view block);
 
   /// Commits everything this session staged; one outcome per staged op.
@@ -108,20 +103,21 @@ class DslogClient {
   std::mutex write_mu_;
 };
 
-/// Batched staged ingest over a client: Add() assigns each registration an
-/// operation id from a locally held reserved block (refilled with one
-/// ReserveIds round trip per `id_block_size` ops) and accretes its encoded
-/// form into a data block, shipped when either the op budget or the byte
-/// budget fills. Nothing commits server-side until Drain().
+/// Batched staged ingest over a client: Add() accretes each registration's
+/// encoded form into a data block, shipped when either the op budget
+/// (`max_block_ops`) or the byte budget (`data_block_bytes`) fills. Nothing
+/// commits server-side until Drain().
 class IngestHandle {
  public:
-  explicit IngestHandle(DslogClient* client, uint64_t id_block_size = 32,
+  explicit IngestHandle(DslogClient* client, uint64_t max_block_ops = 32,
                         int64_t data_block_bytes = 64 << 10)
       : client_(client),
-        id_block_size_(id_block_size == 0 ? 1 : id_block_size),
+        max_block_ops_(max_block_ops == 0 ? 1 : max_block_ops),
         data_block_bytes_(data_block_bytes) {}
 
-  /// Stages one registration; returns its assigned operation id.
+  /// Stages one registration. Returns its index in the outcome vector of
+  /// the next successful Drain() (ops added through this handle since its
+  /// last successful Drain, counted from 0).
   Result<uint64_t> Add(const OperationRegistration& reg);
 
   /// Ships the partially filled data block, if any.
@@ -137,12 +133,10 @@ class IngestHandle {
 
  private:
   DslogClient* client_;
-  uint64_t id_block_size_;
+  uint64_t max_block_ops_;
   int64_t data_block_bytes_;
 
-  uint64_t next_id_ = 0;
-  uint64_t ids_remaining_ = 0;
-
+  uint64_t ops_since_drain_ = 0;
   std::string block_;
   uint64_t ops_in_block_ = 0;
   int64_t ops_added_ = 0;

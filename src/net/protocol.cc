@@ -79,35 +79,7 @@ bool DefineArrayRequest::Decode(std::string_view payload,
          GetInt64Vector(payload, &pos, &out->shape) && AtEnd(payload, pos);
 }
 
-std::string ReserveIdsRequest::Encode() const {
-  std::string p;
-  PutVarint64(&p, count);
-  return p;
-}
-
-bool ReserveIdsRequest::Decode(std::string_view payload,
-                               ReserveIdsRequest* out) {
-  size_t pos = 0;
-  return GetVarint64(payload, &pos, &out->count) && AtEnd(payload, pos);
-}
-
-std::string ReserveIdsResponse::Encode() const {
-  std::string p;
-  PutVarint64(&p, base);
-  PutVarint64(&p, count);
-  return p;
-}
-
-bool ReserveIdsResponse::Decode(std::string_view payload,
-                                ReserveIdsResponse* out) {
-  size_t pos = 0;
-  return GetVarint64(payload, &pos, &out->base) &&
-         GetVarint64(payload, &pos, &out->count) && AtEnd(payload, pos);
-}
-
-void AppendWireOperation(std::string* dst, uint64_t op_id,
-                         const OperationRegistration& reg) {
-  PutVarint64(dst, op_id);
+void AppendWireOperation(std::string* dst, const OperationRegistration& reg) {
   PutString(dst, reg.op_name);
   PutVarint64(dst, reg.in_arrs.size());
   for (const std::string& a : reg.in_arrs) PutString(dst, a);
@@ -119,9 +91,9 @@ void AppendWireOperation(std::string* dst, uint64_t op_id,
   PutBool(dst, reg.reuse);
 }
 
-bool GetWireOperation(std::string_view src, size_t* pos, WireOperation* out) {
-  if (!GetVarint64(src, pos, &out->op_id)) return false;
-  OperationRegistration& reg = out->reg;
+bool GetWireOperation(std::string_view src, size_t* pos,
+                      OperationRegistration* out) {
+  OperationRegistration& reg = *out;
   reg = OperationRegistration();
   if (!GetString(src, pos, &reg.op_name)) return false;
   uint64_t n_in = 0;
@@ -147,7 +119,7 @@ bool GetWireOperation(std::string_view src, size_t* pos, WireOperation* out) {
 std::string IngestBatchRequest::Encode() const {
   std::string p;
   PutVarint64(&p, ops.size());
-  for (const WireOperation& op : ops) AppendWireOperation(&p, op.op_id, op.reg);
+  for (const OperationRegistration& op : ops) AppendWireOperation(&p, op);
   return p;
 }
 
@@ -157,7 +129,7 @@ bool IngestBatchRequest::Decode(std::string_view payload,
   uint64_t n = 0;
   if (!GetVarint64(payload, &pos, &n)) return false;
   if (n > payload.size() - pos) return false;
-  // Decode incrementally: a WireOperation is hundreds of bytes in memory
+  // Decode incrementally: an operation is hundreds of bytes in memory
   // but can be forged in ~1 wire byte, so an up-front resize(n) would let
   // one frame balloon an allocation ~200x past the payload it carries.
   out->ops.clear();

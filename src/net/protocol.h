@@ -66,45 +66,20 @@ struct DefineArrayRequest {
   static bool Decode(std::string_view payload, DefineArrayRequest* out);
 };
 
-/// kReserveIds — the netplay-style id-block reservation: the client takes a
-/// block of operation ids in one round trip and assigns them locally while
-/// batching, instead of paying a round trip per operation.
-struct ReserveIdsRequest {
-  uint64_t count = 0;
-
-  std::string Encode() const;
-  static bool Decode(std::string_view payload, ReserveIdsRequest* out);
-};
-
-/// kReserveIdsOk — ids [base, base + count) now belong to the caller.
-struct ReserveIdsResponse {
-  uint64_t base = 0;
-  uint64_t count = 0;
-
-  std::string Encode() const;
-  static bool Decode(std::string_view payload, ReserveIdsResponse* out);
-};
-
-/// One operation inside an ingest data block: a reserved id plus the full
-/// registration (captured lineage travels on the wire).
-struct WireOperation {
-  uint64_t op_id = 0;
-  OperationRegistration reg;
-};
-
-/// Appends one WireOperation encoding to `dst` — exposed separately so the
-/// client's IngestHandle can accrete a data block op-by-op without
-/// re-encoding the batch at ship time.
-void AppendWireOperation(std::string* dst, uint64_t op_id,
-                         const OperationRegistration& reg);
-bool GetWireOperation(std::string_view src, size_t* pos, WireOperation* out);
+/// Appends the encoding of one operation of an ingest data block (the full
+/// registration: captured lineage travels on the wire) to `dst` — exposed
+/// separately so the client's IngestHandle can accrete a data block
+/// op-by-op without re-encoding the batch at ship time.
+void AppendWireOperation(std::string* dst, const OperationRegistration& reg);
+bool GetWireOperation(std::string_view src, size_t* pos,
+                      OperationRegistration* out);
 
 /// kIngestBatch — ships one data block of operations, staged server-side
 /// in order (session-owned StagedIngest; nothing commits until kDrain).
 /// On a mid-batch staging error the earlier operations of the block remain
 /// staged; the error response tells the client which op failed.
 struct IngestBatchRequest {
-  std::vector<WireOperation> ops;
+  std::vector<OperationRegistration> ops;
 
   std::string Encode() const;
   static bool Decode(std::string_view payload, IngestBatchRequest* out);

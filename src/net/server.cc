@@ -18,7 +18,9 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -54,13 +56,6 @@ bool ValidStoreName(const std::string& name) {
 }  // namespace
 
 struct DslogServer::Impl {
-  // One tenant namespace: a DSLog plus the id allocator behind ReserveIds.
-  struct TenantStore {
-    explicit TenantStore(DSLog l) : log(std::move(l)) {}
-    DSLog log;
-    std::atomic<uint64_t> next_op_id{1};
-  };
-
   // One queued request of a session. `counted` marks entries charged
   // against the global in-flight bound (sheds and courtesy errors are
   // not); whoever removes the entry from the queue settles the charge.
@@ -89,7 +84,7 @@ struct DslogServer::Impl {
     std::shared_ptr<CancelToken> active_cancel;  // guarded by mu
 
     // Lane-private (the serialized lane is this state's only toucher).
-    std::shared_ptr<TenantStore> store;
+    std::shared_ptr<DSLog> store;  // the bound tenant namespace
     std::unique_ptr<StagedIngest> stager;
 
     explicit Session(int fd, int64_t max_frame)
@@ -584,8 +579,6 @@ struct DslogServer::Impl {
         return HandleOpenStore(s, frame);
       case Opcode::kDefineArray:
         return HandleDefineArray(s, frame);
-      case Opcode::kReserveIds:
-        return HandleReserveIds(s, frame);
       case Opcode::kIngestBatch:
         return HandleIngestBatch(s, frame);
       case Opcode::kDrain:
@@ -651,14 +644,14 @@ struct DslogServer::Impl {
           Status::InvalidArgument(
               "session holds staged ingest; Drain before switching stores"));
     }
-    std::shared_ptr<TenantStore> store;
+    std::shared_ptr<DSLog> store;
     {
       std::lock_guard<std::mutex> lk(stores_mu);
       auto it = stores.find(req.store);
       if (it != stores.end()) {
         store = it->second;
       } else if (req.create && options.allow_create_store) {
-        store = std::make_shared<TenantStore>(DSLog());
+        store = std::make_shared<DSLog>();
         stores.emplace(req.store, store);
       }
     }
@@ -667,7 +660,7 @@ struct DslogServer::Impl {
                         Status::NotFound("no store named " + req.store));
     }
     s->store = std::move(store);
-    s->stager = std::make_unique<StagedIngest>(&s->store->log);
+    s->stager = std::make_unique<StagedIngest>(s->store.get());
     WriteResponse(s, Opcode::kOpenStoreOk, frame.request_id, "");
   }
 
@@ -686,23 +679,9 @@ struct DslogServer::Impl {
     }
     if (!RequireStore(s, frame)) return;
     const Status st =
-        s->store->log.DefineArray(req.name, std::move(req.shape));
+        s->store->DefineArray(req.name, std::move(req.shape));
     if (!st.ok()) return WriteError(s, frame.request_id, st);
     WriteResponse(s, Opcode::kDefineArrayOk, frame.request_id, "");
-  }
-
-  void HandleReserveIds(Session* s, const Frame& frame) {
-    ReserveIdsRequest req;
-    if (!ReserveIdsRequest::Decode(frame.payload, &req) || req.count == 0 ||
-        req.count > (1u << 20)) {
-      return WriteError(s, frame.request_id,
-                        Status::InvalidArgument("invalid ReserveIds count"));
-    }
-    if (!RequireStore(s, frame)) return;
-    ReserveIdsResponse resp;
-    resp.base = s->store->next_op_id.fetch_add(req.count);
-    resp.count = req.count;
-    WriteResponse(s, Opcode::kReserveIdsOk, frame.request_id, resp.Encode());
   }
 
   void HandleIngestBatch(Session* s, const Frame& frame) {
@@ -715,13 +694,7 @@ struct DslogServer::Impl {
     }
     if (!RequireStore(s, frame)) return;
     for (size_t i = 0; i < req.ops.size(); ++i) {
-      if (req.ops[i].op_id == 0) {
-        return WriteError(s, frame.request_id,
-                          Status::InvalidArgument(
-                              "op " + std::to_string(i) +
-                              " carries no reserved id (ReserveIds first)"));
-      }
-      const Status st = s->stager->Add(std::move(req.ops[i].reg));
+      const Status st = s->stager->Add(std::move(req.ops[i]));
       if (!st.ok()) {
         return WriteError(s, frame.request_id,
                           st.WithMessagePrefix("staging op " +
@@ -767,7 +740,7 @@ struct DslogServer::Impl {
         std::clamp(qo.num_threads, 1, std::max(1, options.query_threads_cap));
     qo.cancel = token.get();
     QueryProfile profile;
-    Result<BoxTable> r = s->store->log.ProvQuery(
+    Result<BoxTable> r = s->store->ProvQuery(
         req.path, req.query, qo, qo.profile ? &profile : nullptr);
     {
       std::lock_guard<std::mutex> lk(s->mu);
@@ -789,9 +762,49 @@ struct DslogServer::Impl {
                 std::to_string(session_gauge().Value()) +
                 ",\"inflight_requests\":" +
                 std::to_string(inflight.load(std::memory_order_relaxed)) +
-                ",\"metrics\":" +
+                ",\"stores\":" + StoresJson() + ",\"metrics\":" +
                 metrics::Registry::Global().Snapshot().ToJson() + "}";
     WriteResponse(s, Opcode::kStatsOk, frame.request_id, resp.Encode());
+  }
+
+  // {"<tenant>": LogStore::stats(), ...} over the tenants backed by a
+  // LogStore (mounted OpenInSitu catalogs). Store names are validated to
+  // [A-Za-z0-9_.-], so they need no JSON escaping.
+  std::string StoresJson() {
+    std::vector<std::pair<std::string, std::shared_ptr<const LogStore>>>
+        backed;
+    {
+      std::lock_guard<std::mutex> lk(stores_mu);
+      for (const auto& [name, log] : stores)
+        if (std::shared_ptr<const LogStore> ls = log->log_store())
+          backed.emplace_back(name, std::move(ls));
+    }
+    std::string json = "{";
+    const char* store_sep = "";
+    for (const auto& [name, ls] : backed) {
+      const LogStoreStats st = ls->stats();
+      json.append(std::exchange(store_sep, ",")).append("\"");
+      json.append(name).append("\":{");
+      const std::pair<const char*, int64_t> fields[] = {
+          {"segment_count", st.segment_count},
+          {"segments_touched", st.segments_touched},
+          {"decode_count", st.decode_count},
+          {"bytes_decompressed", st.bytes_decompressed},
+          {"tables_materialized", st.tables_materialized},
+          {"rows_materialized", st.rows_materialized},
+          {"segments_borrowed", st.segments_borrowed},
+          {"cache_hits", st.cache_hits},
+          {"cache_misses", st.cache_misses},
+          {"evictions", st.evictions},
+      };
+      const char* field_sep = "";
+      for (const auto& [key, value] : fields) {
+        json.append(std::exchange(field_sep, ",")).append("\"");
+        json.append(key).append("\":").append(std::to_string(value));
+      }
+      json += '}';
+    }
+    return json + "}";
   }
 
   // ---------------------------------------------------------------- state --
@@ -799,7 +812,7 @@ struct DslogServer::Impl {
   ServerOptions options;
 
   std::mutex stores_mu;
-  std::map<std::string, std::shared_ptr<TenantStore>> stores;
+  std::map<std::string, std::shared_ptr<DSLog>> stores;
 
   bool started = false;
   bool stopped = false;
@@ -837,11 +850,10 @@ Status DslogServer::Mount(const std::string& name, DSLog log) {
   if (it != impl_->stores.end()) {
     if (impl_->started)
       return Status::AlreadyExists("store already mounted: " + name);
-    it->second = std::make_shared<Impl::TenantStore>(std::move(log));
+    it->second = std::make_shared<DSLog>(std::move(log));
     return Status::OK();
   }
-  impl_->stores.emplace(name,
-                        std::make_shared<Impl::TenantStore>(std::move(log)));
+  impl_->stores.emplace(name, std::make_shared<DSLog>(std::move(log)));
   return Status::OK();
 }
 
@@ -858,7 +870,7 @@ int64_t DslogServer::active_sessions() const {
 const DSLog* DslogServer::store(const std::string& name) const {
   std::lock_guard<std::mutex> lk(impl_->stores_mu);
   auto it = impl_->stores.find(name);
-  return it == impl_->stores.end() ? nullptr : &it->second->log;
+  return it == impl_->stores.end() ? nullptr : it->second.get();
 }
 
 }  // namespace net

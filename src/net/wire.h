@@ -41,8 +41,10 @@ namespace net {
 
 /// First payload field of a Hello frame; spells "DSLN" on the wire.
 inline constexpr uint32_t kMagic = 0x4E4C5344;
-/// Version 2 dropped the join-path byte from the QueryOptions encoding.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// Version 2 dropped the join-path byte from the QueryOptions encoding;
+/// version 3 dropped the operation-id reservation (opcode 0x04, its 0x84
+/// response and the per-operation id varint of ingest batches).
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Frame bytes after the length field that are not payload (opcode + id).
 inline constexpr uint32_t kFrameOverhead = 5;
@@ -57,7 +59,6 @@ enum class Opcode : uint8_t {
   kHello = 0x01,
   kOpenStore = 0x02,
   kDefineArray = 0x03,
-  kReserveIds = 0x04,
   kIngestBatch = 0x05,
   kDrain = 0x06,
   kQuery = 0x07,
@@ -72,7 +73,6 @@ enum class Opcode : uint8_t {
   kHelloOk = 0x81,
   kOpenStoreOk = 0x82,
   kDefineArrayOk = 0x83,
-  kReserveIdsOk = 0x84,
   kIngestBatchOk = 0x85,
   kDrainOk = 0x86,
   kQueryOk = 0x87,

@@ -243,7 +243,7 @@ Result<CompressedTableView> BorrowColumnarTable(std::string_view data) {
   ColumnarExtents e;
   DSLOG_RETURN_IF_ERROR(ParseColumnarHeader(data, &l, &m, &rows, &e));
   if (reinterpret_cast<uintptr_t>(data.data()) % 8 != 0)
-    return Status::NotSupported("PRC2: unaligned image, cannot borrow");
+    return Status::Corruption("PRC2: image not 8-byte aligned");
   const char* base = data.data() + kColumnarHeaderBytes;
   CompressedTableView v;
   v.out_shape = reinterpret_cast<const int64_t*>(base);

@@ -50,12 +50,13 @@ std::string SerializeCompressedTableColumnar(const CompressedTable& table);
 /// Zero-copy borrow: validates the image (structure, sizes, ref bounds)
 /// and returns a view aliasing `data`. The caller must keep `data` alive
 /// for the view's lifetime. Fails with kCorruption on malformed bytes and
-/// kNotSupported when `data` is not 8-byte aligned (fall back to
-/// DeserializeCompressedTableColumnar, which copies).
+/// when `data` is not 8-byte aligned: LogStore writers 8-align columnar
+/// segments and every LogStore backing is 8-aligned, so a misaligned image
+/// can only come from a forged record.
 Result<CompressedTableView> BorrowColumnarTable(std::string_view data);
 
-/// Owned decode of a columnar image (alignment-agnostic fallback, and the
-/// path for callers that need a CompressedTable rather than a view).
+/// Owned decode of a columnar image (alignment-agnostic; the path for
+/// callers that need a CompressedTable rather than a view).
 Result<CompressedTable> DeserializeCompressedTableColumnar(
     std::string_view data);
 

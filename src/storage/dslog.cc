@@ -40,53 +40,31 @@ std::vector<CompressedTable> CompressCaptured(OperationRegistration* reg) {
 
 }  // namespace
 
-void DSLog::InitShards() {
-  const int n = std::max(1, options_.edge_shards);
-  shards_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<EdgeShard>());
-}
-
 DSLog::EdgeShard& DSLog::ShardFor(const std::string& out_arr) const {
-  return *shards_[Hash64(out_arr) % shards_.size()];
+  return shards_[Hash64(out_arr) % kEdgeShards];
 }
 
-DSLog::DSLog(DSLog&& other) noexcept {
-  std::unique_lock catalog_lock(other.catalog_mu_);
-  std::vector<std::unique_lock<std::shared_mutex>> shard_locks;
-  shard_locks.reserve(other.shards_.size());
-  for (auto& shard : other.shards_) shard_locks.emplace_back(shard->mu);
-  options_ = other.options_;
-  arrays_ = std::move(other.arrays_);
-  predictor_ = std::move(other.predictor_);
-  store_ = std::move(other.store_);
-  findedge_pins_ = std::move(other.findedge_pins_);
-  shards_ = std::move(other.shards_);
-  shard_locks.clear();  // release before other re-initializes
-  catalog_lock.unlock();
-  other.shards_.clear();
-  other.InitShards();  // leave other valid (empty), as move-from promises
-}
+DSLog::DSLog(DSLog&& other) noexcept { *this = std::move(other); }
 
 DSLog& DSLog::operator=(DSLog&& other) noexcept {
   if (this == &other) return *this;
+  std::scoped_lock catalog_locks(catalog_mu_, other.catalog_mu_);
+  std::vector<std::unique_lock<std::shared_mutex>> shard_locks;
+  shard_locks.reserve(2 * kEdgeShards);
+  for (EdgeShard& shard : shards_) shard_locks.emplace_back(shard.mu);
+  for (EdgeShard& shard : other.shards_) shard_locks.emplace_back(shard.mu);
+  arrays_ = std::move(other.arrays_);
+  predictor_ = std::move(other.predictor_);
+  store_ = std::move(other.store_);
   {
-    std::scoped_lock catalog_locks(catalog_mu_, other.catalog_mu_);
-    std::vector<std::unique_lock<std::shared_mutex>> shard_locks;
-    shard_locks.reserve(shards_.size() + other.shards_.size());
-    for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
-    for (auto& shard : other.shards_) shard_locks.emplace_back(shard->mu);
-    options_ = other.options_;
-    arrays_ = std::move(other.arrays_);
-    predictor_ = std::move(other.predictor_);
-    store_ = std::move(other.store_);
-    {
-      std::scoped_lock pins(findedge_pins_mu_, other.findedge_pins_mu_);
-      findedge_pins_ = std::move(other.findedge_pins_);
-    }
-    shards_.swap(other.shards_);
+    std::scoped_lock pins(findedge_pins_mu_, other.findedge_pins_mu_);
+    findedge_pins_ = std::move(other.findedge_pins_);
   }
-  other.shards_.clear();
-  other.InitShards();
+  // Leave `other` valid and empty, as move-from promises.
+  for (size_t i = 0; i < kEdgeShards; ++i) {
+    shards_[i].edges = std::move(other.shards_[i].edges);
+    other.shards_[i].edges.clear();
+  }
   return *this;
 }
 
@@ -482,9 +460,9 @@ std::map<std::string, DSLog::Edge> DSLog::SnapshotEdges() const {
       all[EdgeKey(seg.in_arr, seg.out_arr)] = std::move(edge);
     }
   }
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mu);
-    for (const auto& [key, edge] : shard->edges) all[key] = edge;
+  for (const EdgeShard& shard : shards_) {
+    std::shared_lock lock(shard.mu);
+    for (const auto& [key, edge] : shard.edges) all[key] = edge;
   }
   return all;
 }
@@ -542,10 +520,10 @@ Result<EdgeSegmentBytes> SerializedEdgeSegment(const LogStore* store,
 // ------------------------------------------------- single-file LogStore --
 
 Result<DSLog> DSLog::OpenInSitu(const std::string& path,
-                                const InSituOptions& options) {
+                                const LogStoreOptions& options) {
   DSLOG_ASSIGN_OR_RETURN(std::unique_ptr<LogStore> store,
-                         LogStore::Open(path, options.store));
-  DSLog log(options.catalog);
+                         LogStore::Open(path, options));
+  DSLog log;
   log.arrays_ = store->arrays();
   // No per-edge state is built here: lookups resolve through the store's
   // segment index (FindEdgeCopy's fallback), so open cost is the footer
@@ -578,8 +556,7 @@ Status DSLog::SaveLogStore(const std::string& path,
   return writer.Finish();
 }
 
-Status DSLog::AppendLogStore(const std::string& path,
-                             SegmentLayout layout) const {
+Status DSLog::AppendLogStore(const std::string& path) const {
   std::map<std::string, Edge> edges = SnapshotEdges();
   std::shared_ptr<const LogStore> store = log_store();
   DSLOG_ASSIGN_OR_RETURN(LogStoreWriter writer,
@@ -593,9 +570,9 @@ Status DSLog::AppendLogStore(const std::string& path,
     // Skip only byte-identical segments: a re-registered edge whose
     // lineage changed must be re-persisted, not silently kept stale. The
     // comparison serializes in the *existing* segment's layout so an
-    // unchanged edge is never rewritten just because the preferred layout
-    // differs (appends extend mixed-layout stores, they don't migrate
-    // them — use SaveLogStore for a full rewrite).
+    // unchanged gzip edge is never rewritten as columnar (appends extend
+    // mixed-layout stores, they don't migrate them — use SaveLogStore for
+    // a full rewrite).
     const LogStore::SegmentInfo* existing =
         writer.FindSegment(edge.in_arr, edge.out_arr);
     EdgeSegmentBytes seg;
@@ -609,18 +586,18 @@ Status DSLog::AppendLogStore(const std::string& path,
           existing->length == probe.bytes.size() &&
           existing->checksum == Hash64(probe.bytes))
         continue;
-      // Changed edge: reuse the probe bytes when they are already in the
-      // layout we would write, instead of serializing twice.
-      if (probe.layout == layout) {
+      // Changed edge: reuse the probe bytes when they are already columnar,
+      // instead of serializing twice.
+      if (probe.layout == SegmentLayout::kColumnar) {
         seg = std::move(probe);
         have_bytes = true;
       }
     }
     if (!have_bytes) {
-      DSLOG_ASSIGN_OR_RETURN(seg, SerializedEdgeSegment(store.get(),
-                                                        edge.segment,
-                                                        edge.table.get(),
-                                                        layout));
+      DSLOG_ASSIGN_OR_RETURN(
+          seg, SerializedEdgeSegment(store.get(), edge.segment,
+                                     edge.table.get(),
+                                     SegmentLayout::kColumnar));
     }
     DSLOG_RETURN_IF_ERROR(
         writer.AppendRawSegment(edge.in_arr, edge.out_arr, edge.op_name,

@@ -7,17 +7,18 @@
 // Thread-safety: a DSLog is safe for any number of concurrent readers
 // (ProvQuery, ProvQueryBatch, and the const accessors) interleaved with
 // writers (DefineArray, RegisterOperation, StagedIngest). The edge
-// catalog is lock-striped: edges live in N shards (hash of the edge's
-// output array), each under its own shared_mutex, so concurrent readers
-// and an ingesting writer only contend when they touch the same shard —
-// and even then a hop holds the shard lock just long enough to copy out
-// the edge's (refcounted) payload, never across a segment decode or a
-// θ-join. See docs/ARCHITECTURE.md ("Concurrency model") for the full
+// catalog is lock-striped: edges live in kEdgeShards = 16 shards (hash of
+// the edge's output array), each under its own shared_mutex, so
+// concurrent readers and an ingesting writer only contend when they touch
+// the same shard — and even then a hop holds the shard lock just long
+// enough to copy out the edge's (refcounted) payload, never across a
+// segment decode or a θ-join. See docs/ARCHITECTURE.md ("Concurrency model") for the full
 // contract.
 
 #ifndef DSLOG_STORAGE_DSLOG_H_
 #define DSLOG_STORAGE_DSLOG_H_
 
+#include <array>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,30 +56,16 @@ struct OperationRegistration {
   bool reuse = true;
 };
 
-/// Configuration of a DSLog catalog.
-struct DSLogOptions {
-  /// Number of lock-striped shards the edge catalog is split across (each
-  /// shard has its own shared_mutex). Edges hash to a shard by output
-  /// array, so one RegisterOperation commits all its edges under a single
-  /// shard lock while readers of other shards proceed untouched. Clamped
-  /// to >= 1; 1 reproduces the old single-lock catalog (contention tests
-  /// sweep this).
-  int edge_shards = 16;
-};
-
-/// Configuration of DSLog::OpenInSitu.
-struct InSituOptions {
-  /// Mapping, checksum, and decode-cache behaviour of the backing LogStore.
-  LogStoreOptions store;
-  /// Catalog behaviour of the opened DSLog (shard count).
-  DSLogOptions catalog;
-};
-
 /// The DSLog storage manager.
 class DSLog {
  public:
-  DSLog() { InitShards(); }
-  explicit DSLog(DSLogOptions options) : options_(options) { InitShards(); }
+  /// Lock stripes of the edge catalog, each with its own shared_mutex.
+  /// Edges hash to a stripe by output array, so one RegisterOperation
+  /// commits all its edges under a single stripe lock while readers of
+  /// other stripes proceed untouched.
+  static constexpr size_t kEdgeShards = 16;
+
+  DSLog() = default;
 
   /// Movable (each instance keeps its own locks; the catalog state moves).
   /// Moving a DSLog that other threads are still using is a data race, as
@@ -174,8 +161,9 @@ class DSLog {
   /// The catalog stays writable: RegisterOperation adds ordinary in-memory
   /// edges next to the mapped ones (persist them with AppendLogStore); a
   /// resident edge shadows the mapped segment with the same key.
+  /// `options` sets the store's decode-cache budget.
   static Result<DSLog> OpenInSitu(const std::string& path,
-                                  const InSituOptions& options = {});
+                                  const LogStoreOptions& options = {});
 
   /// Writes the catalog (arrays, edges, reuse-predictor state) as a single
   /// LogStore file (atomic: temp + rename, so a failed save leaves the
@@ -191,15 +179,13 @@ class DSLog {
   /// Incremental persistence: appends edges not yet present in the file at
   /// `path` (plus new arrays and the current predictor state) through
   /// LogStoreWriter::OpenForAppend. Existing segments are not rewritten;
-  /// the footer is resealed over all edges.
-  Status AppendLogStore(const std::string& path,
-                        SegmentLayout layout = SegmentLayout::kColumnar) const;
+  /// the footer is resealed over all edges. New and changed resident edges
+  /// are written columnar; in-situ edges keep their layout.
+  Status AppendLogStore(const std::string& path) const;
 
   /// The backing LogStore of an in-situ catalog (decode/cache stats), or
   /// nullptr for a fully in-memory catalog.
   std::shared_ptr<const LogStore> log_store() const;
-
-  int edge_shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
   friend class StagedIngest;
@@ -228,7 +214,6 @@ class DSLog {
     return EdgeStoreKey(in_arr, out_arr);
   }
 
-  void InitShards();
   EdgeShard& ShardFor(const std::string& out_arr) const;
 
   /// Resolves edge in_arr -> out_arr: the shard map first (shard lock held
@@ -285,7 +270,6 @@ class DSLog {
   /// is held shared only while that shard is copied.
   std::map<std::string, Edge> SnapshotEdges() const;
 
-  DSLogOptions options_;
   /// Guards arrays_, predictor_, and store_ (the catalog-level state).
   /// Lock order: catalog_mu_ before any shard mu; a shard lock is never
   /// held while taking catalog_mu_, another shard's mu (except the
@@ -298,10 +282,10 @@ class DSLog {
   /// concurrently with no catalog lock held.
   std::shared_ptr<const LogStore> store_;
 
-  /// The lock-striped edge catalog. The vector itself is immutable between
-  /// construction and destruction (a move replaces contents under all
-  /// locks), so ShardFor needs no lock.
-  std::vector<std::unique_ptr<EdgeShard>> shards_;
+  /// The lock-striped edge catalog. The array itself never changes (a move
+  /// replaces the stripes' contents under all locks), so ShardFor needs no
+  /// lock.
+  mutable std::array<EdgeShard, kEdgeShards> shards_;
 
   /// Tables handed out by FindEdge, pinned for the catalog's lifetime so
   /// the returned raw pointers stay valid across re-registration and LRU

@@ -32,7 +32,7 @@ constexpr uint32_t kFormatVersion = 4;
 // Fixed segment record: field offsets within one 88-byte record. All
 // fields little-endian; the record block starts 8-aligned in the file and
 // 88 is a multiple of 8, so every field is naturally aligned under mmap
-// (reads still go through memcpy for the heap-read fallback).
+// (reads still go through memcpy).
 constexpr size_t kRecOffset = 0;     // u64 absolute file offset
 constexpr size_t kRecLength = 8;     // u64 segment byte length
 constexpr size_t kRecChecksum = 16;  // u64 FNV-64 of the segment bytes
@@ -274,69 +274,27 @@ int64_t ApproxDecodedBytes(const CompressedTable& table) {
                                   static_cast<int64_t>(table.in_ndim()) * 4);
 }
 
-/// Process-wide mirror of the per-store cache counters (the exact per-store
-/// numbers stay on LogStore::stats(); the registry aggregates across all
-/// open stores for dashboards/benches). References resolved once.
-struct LogStoreMetrics {
-  metrics::Counter& cache_hits;
-  metrics::Counter& cache_misses;
-  metrics::Counter& decodes;
-  metrics::Counter& borrows;
-  metrics::Counter& bytes_decompressed;
-  metrics::Counter& rows_materialized;
-  metrics::Counter& evictions;
-  metrics::Histogram& resolve_us;
-
-  static LogStoreMetrics& Get() {
-    static LogStoreMetrics* m = [] {
-      metrics::Registry& reg = metrics::Registry::Global();
-      return new LogStoreMetrics{
-          reg.counter("dslog.logstore.cache_hits"),
-          reg.counter("dslog.logstore.cache_misses"),
-          reg.counter("dslog.logstore.decodes"),
-          reg.counter("dslog.logstore.borrows"),
-          reg.counter("dslog.logstore.bytes_decompressed"),
-          reg.counter("dslog.logstore.rows_materialized"),
-          reg.counter("dslog.logstore.evictions"),
-          reg.histogram("dslog.logstore.resolve_us"),
-      };
-    }();
-    return *m;
-  }
-};
-
 }  // namespace
 
 // ----------------------------------------------------------------- reader --
 
 Result<std::unique_ptr<LogStore>> LogStore::Open(
     const std::string& path, const LogStoreOptions& options) {
-  DSLOG_ASSIGN_OR_RETURN(MmapFile file,
-                         MmapFile::Open(path, options.use_mmap));
+  DSLOG_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
   ParsedFooter footer;
   DSLOG_RETURN_IF_ERROR(ParseFile(file.view(), path, &footer));
-  // ParsedFooter's views point into `file`'s buffer; capture their
-  // offsets before the move so they can be re-based onto store->file_
-  // (a moved heap-fallback buffer is not guaranteed address-stable).
-  const char* old_base = file.view().data();
-  const auto view_offset = [old_base](std::string_view v) {
-    return v.empty() ? 0 : static_cast<size_t>(v.data() - old_base);
-  };
-  const size_t rec_off = view_offset(footer.seg_records);
-  const size_t heap_off = view_offset(footer.name_heap);
-  const size_t phf_off = view_offset(footer.phf_block);
+  // The footer views stay valid across the move: MmapFile's bytes keep
+  // their address.
   std::unique_ptr<LogStore> store(new LogStore());
   store->path_ = path;
   store->file_ = std::move(file);
-  store->options_ = options;
   store->arrays_ = std::move(footer.arrays);
   store->predictor_state_ = std::move(footer.predictor_state);
   store->num_segments_ = static_cast<size_t>(footer.num_segments);
-  std::string_view whole = store->file_.view();
-  store->seg_records_ = whole.substr(rec_off, footer.seg_records.size());
-  store->name_heap_ = whole.substr(heap_off, footer.name_heap.size());
+  store->seg_records_ = footer.seg_records;
+  store->name_heap_ = footer.name_heap;
   if (!footer.phf_block.empty()) {
-    auto phf = PhfView::Bind(whole.substr(phf_off, footer.phf_block.size()));
+    auto phf = PhfView::Bind(footer.phf_block);
     if (!phf.ok())
       return phf.status().WithMessagePrefix("logstore " + path + ": ");
     if (phf.value().size() != footer.num_segments)
@@ -345,15 +303,10 @@ Result<std::unique_ptr<LogStore>> LogStore::Open(
     store->phf_enabled_ = true;
   }
   store->touched_.assign(store->num_segments_, 0);
-  store->num_cache_shards_ =
-      static_cast<size_t>(std::max(1, options.cache_shards));
   // Equal budget slices, floored at 1 byte so the eviction loop still
   // engages when a tiny test budget divides to zero.
-  store->shard_capacity_bytes_ =
-      std::max<int64_t>(1, options.cache_capacity_bytes /
-                               static_cast<int64_t>(store->num_cache_shards_));
-  store->cache_shards_ =
-      std::make_unique<CacheShard[]>(store->num_cache_shards_);
+  store->shard_capacity_bytes_ = std::max<int64_t>(
+      1, options.cache_capacity_bytes / static_cast<int64_t>(kCacheShards));
   return store;
 }
 
@@ -446,46 +399,34 @@ LogStore::ResolveSegment(size_t id, int64_t* charge, int64_t* decompressed,
         "logstore segment layout unknown (" +
         std::to_string(static_cast<uint32_t>(seg.layout)) + "): " +
         seg.in_arr + " -> " + seg.out_arr + " in " + path_);
-  if (options_.verify_checksums && Hash64(bytes) != seg.checksum)
+  if (Hash64(bytes) != seg.checksum)
     return Status::Corruption("logstore segment checksum mismatch: " +
                               seg.in_arr + " -> " + seg.out_arr + " in " +
                               path_);
   auto resolved = std::make_shared<ResolvedSegment>();
-  *decompressed = 0;
-  *borrowed = false;
-  *rows_copied = 0;
+  const auto where = [&seg] {
+    return "logstore segment " + seg.in_arr + " -> " + seg.out_arr + ": ";
+  };
   if (seg.layout == SegmentLayout::kColumnar) {
+    // Zero-copy: the view aliases the mapping, which this LogStore (and
+    // therefore any pin holding the ResolvedSegment via the DSLog that
+    // owns the store) keeps alive. Only the index is built.
     auto view = BorrowColumnarTable(bytes);
-    if (view.ok()) {
-      // Zero-copy: the view aliases the mapping, which this LogStore (and
-      // therefore any pin holding the ResolvedSegment via the DSLog that
-      // owns the store) keeps alive. Only the index is built.
-      resolved->view = view.value();
-      resolved->index = resolved->view.BuildBackwardIndex();
-      *borrowed = true;
-      *charge = 64 + resolved->index.bytes();
-      return std::shared_ptr<const ResolvedSegment>(std::move(resolved));
-    }
-    if (view.status().code() != StatusCode::kNotSupported)
-      return view.status().WithMessagePrefix("logstore segment " + seg.in_arr +
-                                             " -> " + seg.out_arr + ": ");
-    // Unaligned mapping (heap fallback reads can land anywhere): decode to
-    // an owned table below.
-    auto decoded = DeserializeCompressedTableColumnar(bytes);
-    if (!decoded.ok())
-      return decoded.status().WithMessagePrefix(
-          "logstore segment " + seg.in_arr + " -> " + seg.out_arr + ": ");
-    resolved->table = std::make_shared<const CompressedTable>(
-        std::move(decoded).ValueOrDie());
-  } else {
-    auto decoded = DeserializeCompressedTableGzip(bytes);
-    if (!decoded.ok())
-      return decoded.status().WithMessagePrefix(
-          "logstore segment " + seg.in_arr + " -> " + seg.out_arr + ": ");
-    *decompressed = static_cast<int64_t>(bytes.size());
-    resolved->table = std::make_shared<const CompressedTable>(
-        std::move(decoded).ValueOrDie());
+    if (!view.ok()) return view.status().WithMessagePrefix(where());
+    resolved->view = view.value();
+    resolved->index = resolved->view.BuildBackwardIndex();
+    *decompressed = 0;
+    *borrowed = true;
+    *rows_copied = 0;
+    *charge = 64 + resolved->index.bytes();
+    return std::shared_ptr<const ResolvedSegment>(std::move(resolved));
   }
+  auto decoded = DeserializeCompressedTableGzip(bytes);
+  if (!decoded.ok()) return decoded.status().WithMessagePrefix(where());
+  *decompressed = static_cast<int64_t>(bytes.size());
+  *borrowed = false;
+  resolved->table = std::make_shared<const CompressedTable>(
+      std::move(decoded).ValueOrDie());
   resolved->view = resolved->table->view();
   resolved->index = resolved->view.BuildBackwardIndex();
   *rows_copied = resolved->table->num_rows();
@@ -501,7 +442,6 @@ void LogStore::EvictOverBudget(CacheShard& shard) const {
     shard.bytes -= vit->second.charge;
     shard.cache.erase(vit);
     ++shard.stats.evictions;
-    LogStoreMetrics::Get().evictions.Increment();
   }
 }
 
@@ -535,7 +475,8 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, bool forward,
                                              ViewEvent* ev) const {
   if (id >= num_segments_)
     return Status::InvalidArgument("logstore segment id out of range");
-  LogStoreMetrics& lsm = LogStoreMetrics::Get();
+  static metrics::Histogram& resolve_hist =
+      metrics::Registry::Global().histogram("dslog.logstore.resolve_us");
   CacheShard& shard = ShardFor(id);
   if (ev != nullptr) ev->segment_bytes = segment_length(id);
   // The pinned result for `seg`, with the index for the hop's direction.
@@ -551,14 +492,12 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, bool forward,
     if (it != shard.cache.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
       ++shard.stats.cache_hits;
-      lsm.cache_hits.Increment();
       if (ev != nullptr) ev->cache_hit = true;
       std::shared_ptr<const ResolvedSegment> seg = it->second.segment;
       lock.unlock();
       return pinned(std::move(seg));
     }
     ++shard.stats.cache_misses;
-    lsm.cache_misses.Increment();
   }
 
   // Resolve outside the shard lock so cold segments decode in parallel —
@@ -577,13 +516,7 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, bool forward,
       static_cast<int64_t>(resolve_timer.ElapsedSeconds() * 1e6);
   resolve_span.Arg("borrowed", borrowed ? 1 : 0);
   resolve_span.Arg("rows_materialized", rows_copied);
-  lsm.resolve_us.Record(resolve_us);
-  lsm.decodes.Increment();
-  if (borrowed)
-    lsm.borrows.Increment();
-  else
-    lsm.rows_materialized.Add(rows_copied);
-  if (decompressed > 0) lsm.bytes_decompressed.Add(decompressed);
+  resolve_hist.Record(resolve_us);
   if (ev != nullptr) {
     ev->borrowed = borrowed;
     ev->bytes_decompressed = decompressed;
@@ -623,7 +556,7 @@ Result<std::shared_ptr<const CompressedTable>> LogStore::Table(
   if (id >= num_segments_)
     return Status::InvalidArgument("logstore segment id out of range");
   DSLOG_ASSIGN_OR_RETURN(PinnedTable pinned, View(id));
-  // Gzip (and unaligned columnar) resolutions already own a table: alias it
+  // Gzip resolutions already own a table: alias it
   // so the returned pointer shares the cache entry's lifetime.
   auto resolved =
       std::static_pointer_cast<const ResolvedSegment>(pinned.pin);
@@ -643,8 +576,7 @@ LogStoreStats LogStore::stats() const {
   // Concurrent readers may land between shard reads; every counted event
   // is in exactly one shard, so totals are exact once readers quiesce.
   LogStoreStats out;
-  for (size_t i = 0; i < num_cache_shards_; ++i) {
-    CacheShard& shard = cache_shards_[i];
+  for (CacheShard& shard : cache_stripes_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     const LogStoreStats& s = shard.stats;
     out.segments_touched += s.segments_touched;

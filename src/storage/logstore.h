@@ -29,19 +29,21 @@
 //   |                  |  | magic "DSLF"
 //   +------------------+ file_size
 //
-// A reader maps the file once (mmap, with a whole-file read fallback) and
-// parses only the footer; segments resolve lazily on first touch through a
-// size-bounded LRU cache. A kProvRcGzip segment decompresses into an owned
-// table; a kColumnar segment is *borrowed*: the cache entry holds a
-// CompressedTableView
-// aliasing the mapped bytes plus the backward-join interval index — zero
-// bytes decompressed, zero rows materialized (LogStoreStats counts both).
+// A reader maps the file once (mmap, with a whole-file read fallback into
+// an 8-aligned buffer) and parses only the footer; segments resolve lazily
+// on first touch through a size-bounded LRU cache. A kProvRcGzip segment
+// decompresses into an owned table; a kColumnar segment is always
+// *borrowed*: the cache entry holds a CompressedTableView aliasing the
+// mapped bytes plus the backward-join interval index — zero bytes
+// decompressed, zero rows materialized (LogStoreStats counts both). A
+// columnar record whose offset is not 8-aligned is Corruption (writers
+// always align them).
 // The forward-join index is built on the entry's first forward hop only,
 // never at resolve, and is never persisted; its bytes are charged to the
 // entry's cache shard when it is built.
-// Segment checksums are verified at first touch (and the footer checksum
-// at open), turning any flipped byte or truncation into Status::Corruption
-// instead of UB. The footer checksums with the wide 8-byte-lane hash
+// Segment checksums are always verified at first touch (and the footer
+// checksum at open), turning any flipped byte or truncation into
+// Status::Corruption instead of UB. The footer checksums with the wide 8-byte-lane hash
 // (hash.h Hash64Wide) so open stays fast on million-edge catalogs. A
 // footer of any version other than 4 is rejected as Corruption.
 //
@@ -55,8 +57,8 @@
 // pay for it.
 //
 // Thread-safety: LogStore is safe for concurrent readers. The decode cache
-// is lock-striped: segments map to cache_shards shards (id mod shard
-// count), each with its own mutex, LRU list, and byte budget, so readers
+// is lock-striped: segments map to kCacheShards = 8 shards (id mod 8),
+// each with its own mutex, LRU list, and byte budget, so readers
 // resolving different segments never contend on one cache lock.
 // Decompression/index builds run outside every lock (two threads racing on
 // the same cold segment may both resolve it — both results are valid and
@@ -73,6 +75,7 @@
 #ifndef DSLOG_STORAGE_LOGSTORE_H_
 #define DSLOG_STORAGE_LOGSTORE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -132,18 +135,10 @@ struct LogStoreOptions {
   /// gzip tables, and interval indexes — backward, and forward once built).
   /// Least-recently-used segments are evicted past it; in-flight queries
   /// keep their pinned entries alive regardless.
+  /// The budget is split in equal slices over the decode cache's
+  /// LogStore::kCacheShards lock stripes (never below 1 byte per stripe,
+  /// so eviction still engages on tiny budgets).
   int64_t cache_capacity_bytes = 64ll << 20;
-  /// Verify the per-segment FNV-64 checksum before first use of a segment.
-  bool verify_checksums = true;
-  /// Map the file (the in-situ fast path). false forces the whole-file
-  /// read fallback — same behaviour, heap-backed.
-  bool use_mmap = true;
-  /// Lock stripes of the decode cache. Each shard owns segments with
-  /// id % cache_shards == shard, a private LRU list, and an equal slice of
-  /// cache_capacity_bytes (never below 1 byte, so eviction still engages
-  /// on tiny budgets). Clamped to >= 1; 1 reproduces the old single-lock
-  /// cache (contention tests sweep this).
-  int cache_shards = 8;
 };
 
 /// Decode/cache counters (test + bench observability), returned by
@@ -154,8 +149,8 @@ struct LogStoreOptions {
 /// segments_touched <= decode_count). Cross-shard skew is bounded to
 /// events that complete while stats() walks the shards — every event is
 /// counted in exactly one shard, so totals are exact once readers quiesce.
-/// The process-wide `dslog.logstore.*` registry counters mirror these
-/// events across all open stores.
+/// These counters have no registry mirror: a server reports each mounted
+/// store's stats() under "stores" in its kStats JSON.
 struct LogStoreStats {
   int64_t segment_count = 0;
   /// Distinct segments resolved at least once since open.
@@ -164,8 +159,7 @@ struct LogStoreStats {
   int64_t decode_count = 0;
   /// Compressed bytes consumed by gzip decodes (0 on a pure-columnar store).
   int64_t bytes_decompressed = 0;
-  /// Cache fills that built an owned CompressedTable (gzip decodes and
-  /// columnar alignment fallbacks).
+  /// Cache fills that built an owned CompressedTable (gzip decodes).
   int64_t tables_materialized = 0;
   /// Rows copied into owned arenas by those fills. A zero-copy columnar path
   /// query keeps this at 0 — the acceptance signal that no per-row data
@@ -181,6 +175,10 @@ struct LogStoreStats {
 /// Read side: a mapped log file serving lazily-resolved edge tables.
 class LogStore {
  public:
+  /// Lock stripes of the decode cache: segment `id` lives in stripe
+  /// id % kCacheShards, with its own mutex, LRU list and budget slice.
+  static constexpr size_t kCacheShards = 8;
+
   struct SegmentInfo {
     std::string in_arr;
     std::string out_arr;
@@ -314,16 +312,15 @@ class LogStore {
     std::list<size_t>::iterator lru_it;
   };
 
-  /// Checksum-verifies (first touch) and resolves segment bytes into a
-  /// ResolvedSegment. Runs outside the cache lock.
+  /// Checksum-verifies and resolves segment bytes into a ResolvedSegment.
+  /// Runs outside the cache lock.
   Result<std::shared_ptr<const ResolvedSegment>> ResolveSegment(
       size_t id, int64_t* charge, int64_t* decompressed, bool* borrowed,
       int64_t* rows_copied) const;
 
   /// One lock stripe of the decode cache: segments with
-  /// id % num_cache_shards_ == this shard's index. Stats are kept per
-  /// shard and summed in stats() so the hot path never touches a shared
-  /// counter.
+  /// id % kCacheShards == this shard's index. Stats are kept per shard and
+  /// summed in stats() so the hot path never touches a shared counter.
   struct CacheShard {
     std::mutex mu;  // guards everything below
     std::unordered_map<size_t, CacheEntry> cache;
@@ -333,7 +330,7 @@ class LogStore {
   };
 
   CacheShard& ShardFor(size_t id) const {
-    return cache_shards_[id % num_cache_shards_];
+    return cache_stripes_[id % kCacheShards];
   }
 
   /// Builds `seg`'s forward index on first call (outside every lock), then
@@ -353,7 +350,6 @@ class LogStore {
 
   std::string path_;
   MmapFile file_;
-  LogStoreOptions options_;
   std::map<std::string, std::vector<int64_t>> arrays_;
   size_t num_segments_ = 0;
   /// Footer views into the mapped file.
@@ -370,13 +366,11 @@ class LogStore {
   mutable bool name_map_corrupt_ = false;  // set during BuildNameMap only
   std::string predictor_state_;
 
-  /// Striped cache state. The array and shard count are fixed at Open
-  /// (before any concurrency), so ShardFor needs no lock. A LogStore is
-  /// only handed out behind unique_ptr/shared_ptr, so the non-movable
-  /// shard array is fine. Per-shard byte budget: see cache_shards docs.
-  size_t num_cache_shards_ = 1;
+  /// Striped cache state. A LogStore is only handed out behind
+  /// unique_ptr/shared_ptr, so the non-movable shard array is fine.
+  /// Per-shard byte budget: see LogStoreOptions::cache_capacity_bytes.
   int64_t shard_capacity_bytes_ = 0;
-  mutable std::unique_ptr<CacheShard[]> cache_shards_;
+  mutable std::array<CacheShard, kCacheShards> cache_stripes_;
   /// Per-segment resolved-once flag. Entry `id` is only read/written under
   /// its owning shard's mutex — distinct ids are distinct memory locations,
   /// so cross-shard access is race-free without a global lock.

@@ -23,6 +23,7 @@
 #include "query/query_engine.h"
 #include "query/theta_join.h"
 #include "storage/dslog.h"
+#include "storage/logstore.h"
 #include "test_util.h"
 
 namespace dslog {
@@ -41,6 +42,9 @@ using test_util::TupleSet;
 struct LogVariant {
   const DSLog* log;
   const char* name;
+  /// Prepended to every array name on the path (a copy of the pipeline
+  /// registered under prefixed names).
+  std::string prefix;
 };
 
 void ExpectMatchesOracle(const std::vector<LogVariant>& variants,
@@ -52,12 +56,14 @@ void ExpectMatchesOracle(const std::vector<LogVariant>& variants,
   const TupleSet want =
       ToTupleSet(UncompressedQuery(rhops, query_cells), result_arity);
   for (const LogVariant& variant : variants) {
+    std::vector<std::string> named = path;
+    for (std::string& array : named) array = variant.prefix + array;
     for (bool merge : {true, false}) {
       for (int threads : {1, 8}) {
         QueryOptions options;
         options.merge_between_hops = merge;
         options.num_threads = threads;
-        auto got = variant.log->ProvQuery(path, query, options);
+        auto got = variant.log->ProvQuery(named, query, options);
         ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
         EXPECT_EQ(ToTupleSet(got.value().ExpandToCells(), result_arity), want)
             << label << " variant=" << variant.name << " merge=" << merge
@@ -80,24 +86,36 @@ TEST_P(DifferentialPipelineTest, InSituMatchesUncompressedOracle) {
 
   // In-situ legs: persist the catalog as a LogStore file and serve the same
   // queries through the mapped, lazily-decoded path — once with the default
-  // cache, once with a 1-byte single-shard budget, where every resolve
-  // evicts the previous segment and forward hops re-resolve (and rebuild
-  // the forward index) on every query.
+  // cache, once with a 1-byte budget, where each cache stripe keeps only
+  // its most recent segment. The tiny-budget store holds enough prefixed
+  // copies of the pipeline that its chain segments outnumber the cache
+  // stripes; every copy is queried in turn, so segments sharing a stripe
+  // evict each other and re-resolve (rebuilding their forward index) on
+  // later queries.
   const std::string store_path =
       ScratchDir() + "/differential_" + std::to_string(seed) + ".dsl";
   ASSERT_TRUE(plain.SaveLogStore(store_path).ok());
   auto insitu_opened = DSLog::OpenInSitu(store_path);
   ASSERT_TRUE(insitu_opened.ok()) << insitu_opened.status().ToString();
   const DSLog& insitu = insitu_opened.value();
-  InSituOptions tiny_options;
-  tiny_options.store.cache_capacity_bytes = 1;
-  tiny_options.store.cache_shards = 1;
-  auto tiny_opened = DSLog::OpenInSitu(store_path, tiny_options);
+  const int copies = static_cast<int>(LogStore::kCacheShards) / n + 1;
+  DSLog copied;
+  for (int c = 0; c < copies; ++c)
+    ASSERT_TRUE(RegisterDag(dag, &copied, test_util::Indexed("c", c) + "_")
+                    .ok());
+  const std::string tiny_path =
+      ScratchDir() + "/differential_tiny_" + std::to_string(seed) + ".dsl";
+  ASSERT_TRUE(copied.SaveLogStore(tiny_path).ok());
+  LogStoreOptions tiny_options;
+  tiny_options.cache_capacity_bytes = 1;
+  auto tiny_opened = DSLog::OpenInSitu(tiny_path, tiny_options);
   ASSERT_TRUE(tiny_opened.ok()) << tiny_opened.status().ToString();
   const DSLog& tiny = tiny_opened.value();
-  const std::vector<LogVariant> variants = {{&plain, "plain"},
-                                            {&insitu, "insitu"},
-                                            {&tiny, "insitu_tiny_cache"}};
+  std::vector<LogVariant> variants = {{&plain, "plain", ""},
+                                      {&insitu, "insitu", ""}};
+  for (int c = 0; c < copies; ++c)
+    variants.push_back(
+        {&tiny, "insitu_tiny_cache", test_util::Indexed("c", c) + "_"});
 
   Rng rng(seed * 31 + 7);
 

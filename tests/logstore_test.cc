@@ -108,8 +108,20 @@ LogStore::SegmentInfo SegmentOf(const std::string& path,
                 : store->segment_info(static_cast<size_t>(id));
 }
 
+/// Segment id of edge in_arr -> out_arr in the store at `path`.
+size_t SegmentId(const std::string& path, std::string_view in_arr,
+                 std::string_view out_arr) {
+  std::unique_ptr<LogStore> store = LogStore::Open(path).ValueOrDie();
+  return static_cast<size_t>(
+      store->FindSegmentId(in_arr, out_arr).ValueOrDie());
+}
+
 // ---------------------------------------------------------------- MmapFile --
 
+// The properties LogStore relies on for zero-copy columnar borrows from
+// either backing: identical bytes, an 8-aligned base, and a base address
+// that survives a move (the store parses the footer before moving the
+// file into itself).
 TEST(MmapFileTest, MapsAndFallsBackIdentically) {
   const std::string path = TestPath("mmap_basic.bin");
   const std::string payload = "hello mapped world";
@@ -118,11 +130,20 @@ TEST(MmapFileTest, MapsAndFallsBackIdentically) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().mapped());
   EXPECT_EQ(mapped.value().view(), payload);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(mapped.value().data()) % 8, 0u);
   auto fallback = MmapFile::Open(path, /*allow_mmap=*/false);
   ASSERT_TRUE(fallback.ok());
   EXPECT_FALSE(fallback.value().mapped());
   EXPECT_EQ(fallback.value().view(), payload);
   EXPECT_EQ(fallback.value().view(6, 6), "mapped");
+  const char* base = fallback.value().data();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(base) % 8, 0u);
+  MmapFile moved = std::move(fallback).ValueOrDie();
+  EXPECT_EQ(moved.data(), base);
+  MmapFile assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.data(), base);
+  EXPECT_EQ(assigned.view(), payload);
 }
 
 TEST(MmapFileTest, MissingFileIsIOErrorAndEmptyFileIsEmpty) {
@@ -193,21 +214,6 @@ TEST(LogStoreTest, RoundTripMatchesInMemoryCatalog) {
     else
       EXPECT_GT(insitu.StorageFootprintBytes(), 0);
   }
-}
-
-TEST(LogStoreTest, ReadFallbackServesIdenticalResults) {
-  DSLog log;
-  BuildChain(&log, 0, 4, 8);
-  const std::string path = TestPath("fallback.dsl");
-  ASSERT_TRUE(log.SaveLogStore(path).ok());
-  InSituOptions options;
-  options.store.use_mmap = false;
-  auto opened = DSLog::OpenInSitu(path, options);
-  ASSERT_TRUE(opened.ok());
-  EXPECT_FALSE(opened.value().log_store()->mapped());
-  auto got = opened.value().ProvQuery(ChainPath(4, 0), BoxTable::FromCells(1, {5}));
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{5}));
 }
 
 // ------------------------------------------------------------- lazy decode --
@@ -324,33 +330,14 @@ TEST(LogStoreTest, MixedLayoutStoreServesBothSegmentKinds) {
   EXPECT_GT(stats.bytes_decompressed, 0);
 }
 
-TEST(LogStoreTest, ColumnarHeapFallbackStillAnswersQueries) {
-  // With mmap disabled the file lands in a heap buffer; columnar segments
-  // still serve correct results (borrowing when the buffer happens to be
-  // aligned, materializing owned tables otherwise — both are valid).
-  DSLog log;
-  BuildChain(&log, 0, 6, 16);
-  const std::string path = TestPath("columnar_fallback.dsl");
-  ASSERT_TRUE(log.SaveLogStore(path).ok());
-  InSituOptions options;
-  options.store.use_mmap = false;
-  auto opened = DSLog::OpenInSitu(path, options);
-  ASSERT_TRUE(opened.ok());
-  EXPECT_FALSE(opened.value().log_store()->mapped());
-  auto got =
-      opened.value().ProvQuery(ChainPath(6, 0), BoxTable::FromCells(1, {5}));
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{5}));
-}
-
 TEST(LogStoreTest, TinyCacheEvictsButStaysCorrect) {
   DSLog log;
   BuildChain(&log, 0, 40, 64);
   const std::string path = TestPath("tiny_cache.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  InSituOptions options;
-  options.store.cache_capacity_bytes = 2048;  // a handful of decoded tables
+  LogStoreOptions options;
+  options.cache_capacity_bytes = 2048;  // a handful of decoded tables
   auto opened = DSLog::OpenInSitu(path, options);
   ASSERT_TRUE(opened.ok());
   const DSLog& insitu = opened.value();
@@ -373,28 +360,33 @@ TEST(LogStoreTest, TinyCacheEvictsButStaysCorrect) {
 // cache entry, so a budget sized for the backward entries alone evicts.
 TEST(LogStoreTest, ForwardIndexBuiltOnFirstForwardViewAndCharged) {
   DSLog log;
-  BuildChain(&log, 0, 2, 64);
+  BuildChain(&log, 0, 9, 64);
   const std::string path = TestPath("forward_charge.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  // Both segments hold the same identity table; a borrowed segment is
-  // charged 64 bytes of bookkeeping plus its backward index.
+  // Every segment holds the same identity table; a borrowed segment is
+  // charged 64 bytes of bookkeeping plus its backward index. Segments 0
+  // and `other` share cache stripe 0, whose budget slice is 1/kCacheShards
+  // of the whole budget.
+  constexpr size_t other = LogStore::kCacheShards;
   const CompressedTable table = ProvRcCompress(IdentityRelation(64));
   const int64_t backward_charge =
       64 + table.view().BuildBackwardIndex().bytes();
   const int64_t forward_bytes = table.view().BuildForwardIndex().bytes();
   LogStoreOptions options;
-  options.cache_shards = 1;
-  options.cache_capacity_bytes = 2 * backward_charge + forward_bytes - 1;
+  options.cache_capacity_bytes =
+      static_cast<int64_t>(LogStore::kCacheShards) *
+      (2 * backward_charge + forward_bytes - 1);
   auto store = LogStore::Open(path, options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const LogStore& s = *store.value();
+  ASSERT_GT(s.segment_count(), other);
 
   metrics::Counter& builds = metrics::Registry::Global().counter(
       "dslog.query.forward_index_builds");
   const int64_t builds_before = builds.Value();
   auto back0 = s.View(0);
-  auto back1 = s.View(1);
+  auto back1 = s.View(other);
   ASSERT_TRUE(back0.ok() && back1.ok());
   EXPECT_EQ(builds.Value(), builds_before);  // resolve builds no forward index
   EXPECT_EQ(s.stats().evictions, 0);
@@ -404,11 +396,11 @@ TEST(LogStoreTest, ForwardIndexBuiltOnFirstForwardViewAndCharged) {
   EXPECT_NE(fwd0.value().index, back0.value().index);
   EXPECT_EQ(fwd0.value().index->size(), table.num_rows());
   EXPECT_EQ(builds.Value(), builds_before + 1);
-  EXPECT_EQ(s.stats().evictions, 1);  // the charge pushed segment 1 out
+  EXPECT_EQ(s.stats().evictions, 1);  // the charge pushed `other` out
 
   EXPECT_EQ(s.View(0, /*forward=*/true).value().index, fwd0.value().index);
   EXPECT_EQ(builds.Value(), builds_before + 1);  // built once per resolve
-  ASSERT_TRUE(s.View(1).ok());  // evicted: resolves again
+  ASSERT_TRUE(s.View(other).ok());  // evicted: resolves again
   EXPECT_EQ(s.stats().decode_count, 3);
 }
 
@@ -584,6 +576,60 @@ TEST(LogStoreTest, WriterReplacementNewestSegmentWins) {
 
 // -------------------------------------------------------------- corruption --
 
+/// File offset of segment `id`'s footer record within `bytes`, the whole
+/// store file at `path`. Records are the fixed 88-byte layout documented in
+/// logstore.cc; the record is located by its (offset, length, checksum)
+/// prefix. npos when not found.
+size_t RecordPos(const std::string& path, const std::string& bytes,
+                 size_t id) {
+  auto store = LogStore::Open(path);
+  if (!store.ok()) return std::string::npos;
+  const LogStore::SegmentInfo seg = store.value()->segment_info(id);
+  size_t pos = bytes.size() - 20;
+  uint64_t footer_offset = 0;
+  if (!GetFixed64(bytes, &pos, &footer_offset)) return std::string::npos;
+  std::string prefix;
+  PutFixed64(&prefix, seg.offset);
+  PutFixed64(&prefix, seg.length);
+  PutFixed64(&prefix, seg.checksum);
+  return bytes.find(prefix, footer_offset);
+}
+
+/// Overwrites the 8-byte (`width` = 8) or 4-byte field at `field_offset` of
+/// segment `id`'s footer record in the store at `path`, then re-seals the
+/// footer checksum so the open succeeds and only the record's own checks
+/// stand between the patched value and the reader.
+void PatchRecordField(const std::string& path, size_t id, size_t field_offset,
+                      uint64_t value, size_t width) {
+  std::string bytes = ReadFileToString(path).ValueOrDie();
+  const size_t rec = RecordPos(path, bytes, id);
+  ASSERT_NE(rec, std::string::npos);
+  size_t pos = bytes.size() - 20;
+  uint64_t footer_offset = 0;
+  ASSERT_TRUE(GetFixed64(bytes, &pos, &footer_offset));
+  std::memcpy(&bytes[rec + field_offset], &value, width);
+  const std::string_view footer(bytes.data() + footer_offset,
+                                bytes.size() - 20 - footer_offset);
+  const uint64_t hash = Hash64Wide(footer);
+  std::memcpy(&bytes[bytes.size() - 12], &hash, 8);
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+}
+
+/// Re-seals the checksum in segment `id`'s footer record over the
+/// segment's current bytes, so a mutated segment gets past the checksum
+/// to its own structural checks.
+void ResealSegmentChecksum(const std::string& path, size_t id) {
+  const LogStore::SegmentInfo seg =
+      LogStore::Open(path).ValueOrDie()->segment_info(id);
+  const std::string bytes = ReadFileToString(path).ValueOrDie();
+  constexpr size_t kChecksum = 16;
+  PatchRecordField(path, id, kChecksum,
+                   Hash64(std::string_view(bytes).substr(seg.offset,
+                                                         seg.length)),
+                   8);
+}
+
+
 TEST(LogStoreCorruptionTest, FlippedSegmentByteIsDetectedAtDecode) {
   DSLog log;
   BuildChain(&log, 0, 6, 32);
@@ -613,10 +659,11 @@ TEST(LogStoreCorruptionTest, FlippedSegmentByteIsDetectedAtDecode) {
       << corrupt.status().ToString();
 }
 
-TEST(LogStoreCorruptionTest, ColumnarRefOutOfRangeIsCorruptionEvenUnchecked) {
-  // Structural validation must hold even with checksums off: a corrupt
-  // relative ref in a borrowed columnar segment would index out of the
-  // join kernels' scratch, so the borrow itself has to reject it.
+TEST(LogStoreCorruptionTest, ColumnarRefOutOfRangeIsCorruption) {
+  // Structural validation must hold even when the checksum vouches for the
+  // bytes: a corrupt relative ref in a borrowed columnar segment would
+  // index out of the join kernels' scratch, so the borrow itself has to
+  // reject it.
   DSLog log;
   BuildChain(&log, 0, 2, 8);
   const std::string path = TestPath("corrupt_ref.dsl");
@@ -633,10 +680,9 @@ TEST(LogStoreCorruptionTest, ColumnarRefOutOfRangeIsCorruptionEvenUnchecked) {
   std::string bytes = ReadFileToString(path).ValueOrDie();
   bytes[offset + length - 8] = 0x7F;
   ASSERT_TRUE(WriteFile(path, bytes).ok());
+  ResealSegmentChecksum(path, SegmentId(path, "a0", "a1"));
 
-  InSituOptions options;
-  options.store.verify_checksums = false;
-  auto opened = DSLog::OpenInSitu(path, options);
+  auto opened = DSLog::OpenInSitu(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto got = opened.value().ProvQuery({"a1", "a0"}, BoxTable::FromCells(1, {0}));
   ASSERT_FALSE(got.ok());
@@ -657,14 +703,31 @@ TEST(LogStoreCorruptionTest, ColumnarTruncatedSegmentIsCorruption) {
   std::string bytes = ReadFileToString(path).ValueOrDie();
   bytes[offset + 16] = 0x40;
   ASSERT_TRUE(WriteFile(path, bytes).ok());
-  InSituOptions options;
-  options.store.verify_checksums = false;  // reach the structural check
-  auto opened = DSLog::OpenInSitu(path, options);
+  // Reach the structural check.
+  ResealSegmentChecksum(path, SegmentId(path, "a0", "a1"));
+  auto opened = DSLog::OpenInSitu(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto got = opened.value().ProvQuery({"a1", "a0"}, BoxTable::FromCells(1, {0}));
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
       << got.status().ToString();
+}
+
+TEST(LogStoreCorruptionTest, MisalignedColumnarImageIsCorruption) {
+  // Writers 8-align columnar segments and every LogStore backing is
+  // 8-aligned, so only a forged record can present a misaligned image:
+  // the borrow rejects it as Corruption instead of reading unaligned.
+  const std::string image =
+      SerializeCompressedTableColumnar(ProvRcCompress(IdentityRelation(16)));
+  auto words = std::make_unique<uint64_t[]>(image.size() / 8 + 1);
+  char* aligned = reinterpret_cast<char*>(words.get());
+  std::memcpy(aligned, image.data(), image.size());
+  ASSERT_TRUE(BorrowColumnarTable({aligned, image.size()}).ok());
+  std::memmove(aligned + 1, aligned, image.size());
+  auto misaligned = BorrowColumnarTable({aligned + 1, image.size()});
+  ASSERT_FALSE(misaligned.ok());
+  EXPECT_EQ(misaligned.status().code(), StatusCode::kCorruption)
+      << misaligned.status().ToString();
 }
 
 TEST(LogStoreCorruptionTest, TruncationsAndGarbageAreCorruption) {
@@ -760,45 +823,6 @@ TEST(LogStoreCorruptionTest, Version3FooterIsUnsupported) {
   EXPECT_FALSE(LogStoreWriter::OpenForAppend(path).ok());
 }
 
-/// File offset of segment `id`'s footer record within `bytes`, the whole
-/// store file at `path`. Records are the fixed 88-byte layout documented in
-/// logstore.cc; the record is located by its (offset, length, checksum)
-/// prefix. npos when not found.
-size_t RecordPos(const std::string& path, const std::string& bytes,
-                 size_t id) {
-  auto store = LogStore::Open(path);
-  if (!store.ok()) return std::string::npos;
-  const LogStore::SegmentInfo seg = store.value()->segment_info(id);
-  size_t pos = bytes.size() - 20;
-  uint64_t footer_offset = 0;
-  if (!GetFixed64(bytes, &pos, &footer_offset)) return std::string::npos;
-  std::string prefix;
-  PutFixed64(&prefix, seg.offset);
-  PutFixed64(&prefix, seg.length);
-  PutFixed64(&prefix, seg.checksum);
-  return bytes.find(prefix, footer_offset);
-}
-
-/// Overwrites the 8-byte (`width` = 8) or 4-byte field at `field_offset` of
-/// segment `id`'s footer record in the store at `path`, then re-seals the
-/// footer checksum so the open succeeds and only the record's own checks
-/// stand between the patched value and the reader.
-void PatchRecordField(const std::string& path, size_t id, size_t field_offset,
-                      uint64_t value, size_t width) {
-  std::string bytes = ReadFileToString(path).ValueOrDie();
-  const size_t rec = RecordPos(path, bytes, id);
-  ASSERT_NE(rec, std::string::npos);
-  size_t pos = bytes.size() - 20;
-  uint64_t footer_offset = 0;
-  ASSERT_TRUE(GetFixed64(bytes, &pos, &footer_offset));
-  std::memcpy(&bytes[rec + field_offset], &value, width);
-  const std::string_view footer(bytes.data() + footer_offset,
-                                bytes.size() - 20 - footer_offset);
-  const uint64_t hash = Hash64Wide(footer);
-  std::memcpy(&bytes[bytes.size() - 12], &hash, 8);
-  ASSERT_TRUE(WriteFile(path, bytes).ok());
-}
-
 TEST(LogStoreCorruptionTest, UntrustedRecordFieldsAreChecked) {
   DSLog log;
   BuildChain(&log, 0, 2, 16);
@@ -819,9 +843,7 @@ TEST(LogStoreCorruptionTest, UntrustedRecordFieldsAreChecked) {
   ASSERT_TRUE(log.SaveLogStore(moved).ok());
   PatchRecordField(moved, id, kOffset, uint64_t{1} << 40, 8);
   {
-    InSituOptions heap;
-    heap.store.use_mmap = false;
-    auto insitu = DSLog::OpenInSitu(moved, heap);
+    auto insitu = DSLog::OpenInSitu(moved);
     ASSERT_TRUE(insitu.ok()) << insitu.status().ToString();
     EXPECT_EQ(insitu.value().log_store()->SegmentView(id).status().code(),
               StatusCode::kCorruption);
@@ -1112,8 +1134,8 @@ TEST(LogStoreConcurrencyTest, ParallelInSituReadersWithEvictionChurn) {
   const std::string path = TestPath("concurrent.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  InSituOptions options;
-  options.store.cache_capacity_bytes = 4096;  // force eviction under load
+  LogStoreOptions options;
+  options.cache_capacity_bytes = 4096;  // force eviction under load
   auto opened = DSLog::OpenInSitu(path, options);
   ASSERT_TRUE(opened.ok());
   const DSLog& insitu = opened.value();
@@ -1144,72 +1166,61 @@ TEST(LogStoreConcurrencyTest, ParallelInSituReadersWithEvictionChurn) {
 }
 
 TEST(LogStoreConcurrencyTest, ShardedLruChurnOnSharedEdges) {
-  // Eviction-churn stress for the striped cache: a per-shard budget small
+  // Eviction-churn stress for the striped cache: a per-stripe budget small
   // enough that almost every resolve evicts, 8 threads hammering the SAME
-  // few edges (maximum same-shard collision pressure), swept across shard
-  // counts including 1 (the old single-lock cache).
+  // few edges. 12 segments over the 8 stripes put two segments in each of
+  // stripes 0-3, so same-stripe evictions and resolve races interleave.
+  constexpr int kEdges = 12;
+  static_assert(kEdges > static_cast<int>(LogStore::kCacheShards));
   DSLog log;
-  BuildChain(&log, 0, 6, 32);
+  BuildChain(&log, 0, kEdges, 32);
   const std::string path = TestPath("sharded_churn.dsl");
   ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  for (int shards : {1, 3, 8}) {
-    InSituOptions options;
-    options.store.cache_shards = shards;
-    // 6 bytes total => ~1 byte per shard: every entry exceeds its shard's
-    // budget, so each insert evicts the previous resident immediately.
-    options.store.cache_capacity_bytes = 6;
-    auto opened = DSLog::OpenInSitu(path, options);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    const DSLog& insitu = opened.value();
+  LogStoreOptions options;
+  // 1 byte per stripe: every entry exceeds its stripe's budget, so each
+  // insert evicts the stripe's previous resident immediately.
+  options.cache_capacity_bytes = static_cast<int64_t>(LogStore::kCacheShards);
+  auto opened = DSLog::OpenInSitu(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const DSLog& insitu = opened.value();
 
-    constexpr int kThreads = 8;
-    constexpr int kQueriesPerThread = 30;
-    std::vector<int> failures(kThreads, 0);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(2000 + static_cast<uint64_t>(shards) * 100 +
-                static_cast<uint64_t>(t));
-        for (int i = 0; i < kQueriesPerThread; ++i) {
-          // Only 7 arrays: every thread keeps re-touching the same edges,
-          // so hits, misses, evictions, and resolve races all interleave.
-          int from = static_cast<int>(rng.Uniform(7));
-          int to = static_cast<int>(rng.Uniform(7));
-          if (from == to) to = (to + 1) % 7;
-          const int64_t cell = static_cast<int64_t>(rng.Uniform(32));
-          auto got = insitu.ProvQuery(ChainPath(from, to),
-                                      BoxTable::FromCells(1, {cell}));
-          if (!got.ok() ||
-              got.value().ExpandToCells() != std::vector<int64_t>{cell})
-            ++failures[t];
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    for (int t = 0; t < kThreads; ++t)
-      EXPECT_EQ(failures[t], 0) << "shards=" << shards << " thread=" << t;
-
-    LogStoreStats stats = insitu.log_store()->stats();
-    EXPECT_EQ(stats.segments_touched, 6) << "shards=" << shards;
-    // The tiny budget must actually have churned the cache, and the
-    // aggregate counters must balance across shards: every query is at
-    // least one lookup (hit or miss), and every miss resolved — racing
-    // resolvers may each count a decode, so decode_count can exceed the
-    // number of cache insertions but never undershoot distinct segments.
-    // With >= 6 shards each of the 6 segments is alone in its stripe and
-    // can never be evicted (the cache keeps the just-inserted entry), so
-    // the churn assertion only applies while stripes are shared.
-    if (shards < 6)
-      EXPECT_GT(stats.evictions, 0) << "shards=" << shards;
-    else
-      EXPECT_EQ(stats.evictions, 0) << "shards=" << shards;
-    EXPECT_GE(stats.cache_hits + stats.cache_misses,
-              static_cast<int64_t>(kThreads) * kQueriesPerThread)
-        << "shards=" << shards;
-    EXPECT_GE(stats.decode_count, stats.segments_touched)
-        << "shards=" << shards;
+  constexpr int kThreads = 8;
+  constexpr int kQueriesPerThread = 30;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(2000 + LogStore::kCacheShards * 100 + static_cast<uint64_t>(t));
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        // Few arrays: every thread keeps re-touching the same edges, so
+        // hits, misses, evictions, and resolve races all interleave.
+        int from = static_cast<int>(rng.Uniform(kEdges + 1));
+        int to = static_cast<int>(rng.Uniform(kEdges + 1));
+        if (from == to) to = (to + 1) % (kEdges + 1);
+        const int64_t cell = static_cast<int64_t>(rng.Uniform(32));
+        auto got = insitu.ProvQuery(ChainPath(from, to),
+                                    BoxTable::FromCells(1, {cell}));
+        if (!got.ok() ||
+            got.value().ExpandToCells() != std::vector<int64_t>{cell})
+          ++failures[t];
+      }
+    });
   }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
+
+  LogStoreStats stats = insitu.log_store()->stats();
+  EXPECT_EQ(stats.segments_touched, kEdges);
+  // The tiny budget must actually have churned the shared stripes, and the
+  // aggregate counters must balance across stripes: every query is at
+  // least one lookup (hit or miss), and every miss resolved — racing
+  // resolvers may each count a decode, so decode_count can exceed the
+  // number of cache insertions but never undershoot distinct segments.
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_GE(stats.cache_hits + stats.cache_misses,
+            static_cast<int64_t>(kThreads) * kQueriesPerThread);
+  EXPECT_GE(stats.decode_count, stats.segments_touched);
 }
 
 TEST(LogStoreConcurrencyTest, StatsSnapshotsAreConsistentUnderLoad) {

@@ -17,12 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "query/query_engine.h"
 #include "storage/dslog.h"
+#include "storage/logstore.h"
 #include "test_util.h"
 
 namespace dslog {
@@ -48,7 +50,8 @@ Result<std::unique_ptr<DslogClient>> Connect(const DslogServer& server) {
 
 // Ingests `dag` through `handle` with every array name prefixed (so
 // several threads can share one tenant namespace). Returns ok only if
-// every Add and the final Drain succeed.
+// every Add and the final Drain succeed, each Add returned its op's index
+// in the Drain outcomes, and Drain returned one outcome per op.
 Status IngestDag(DslogClient* client, IngestHandle* handle,
                  const RandomDag& dag, const std::string& prefix) {
   for (size_t i = 0; i < dag.names.size(); ++i)
@@ -57,12 +60,20 @@ Status IngestDag(DslogClient* client, IngestHandle* handle,
   if (dag.has_branch)
     DSLOG_RETURN_IF_ERROR(
         client->DefineArray(prefix + "branch", dag.branch_shape));
+  uint64_t added = 0;
   for (OperationRegistration& reg : dag.Registrations()) {
     for (std::string& in : reg.in_arrs) in = prefix + in;
     reg.out_arr = prefix + reg.out_arr;
-    DSLOG_RETURN_IF_ERROR(handle->Add(reg).status());
+    DSLOG_ASSIGN_OR_RETURN(uint64_t index, handle->Add(reg));
+    if (index != added++)
+      return Status::Internal(test_util::Indexed(
+          "Add returned index ", static_cast<int64_t>(index)));
   }
-  return handle->Drain().status();
+  DSLOG_ASSIGN_OR_RETURN(std::vector<ReuseOutcome> outcomes, handle->Drain());
+  if (outcomes.size() != added)
+    return Status::Internal(test_util::Indexed(
+        "Drain outcomes: ", static_cast<int64_t>(outcomes.size())));
+  return Status::OK();
 }
 
 TEST(ServerLifecycleTest, StartStopIsCleanAndIdempotent) {
@@ -101,9 +112,8 @@ TEST_P(ServerDifferentialTest, WireAnswersMatchOracleAndGroundTruth) {
   const std::string tenant = "seed" + std::to_string(seed);
   ASSERT_TRUE(client->OpenStore(tenant).ok());
 
-  // Tiny blocks force the netplay path to exercise multi-block shipping
-  // and id-block refills, not just one lucky round trip.
-  IngestHandle handle(client.get(), /*id_block_size=*/3,
+  // Tiny blocks force multi-block shipping, not just one lucky round trip.
+  IngestHandle handle(client.get(), /*max_block_ops=*/3,
                       /*data_block_bytes=*/512);
   ASSERT_TRUE(IngestDag(client.get(), &handle, dag, "").ok());
   EXPECT_EQ(handle.ops_added(), n + (dag.has_branch ? 1 : 0));
@@ -235,24 +245,6 @@ TEST(ServerSessionTest, TenantNamespacesAreIsolated) {
   EXPECT_NE(server->store("tenant-a"), server->store("tenant-b"));
 }
 
-TEST(ServerSessionTest, ReserveIdsAreDisjointAcrossSessions) {
-  auto server = StartServer();
-  auto a = Connect(*server);
-  auto b = Connect(*server);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(a.value()->OpenStore("shared").ok());
-  ASSERT_TRUE(b.value()->OpenStore("shared").ok());
-  auto ra = a.value()->ReserveOpIds(100);
-  auto rb = b.value()->ReserveOpIds(100);
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_NE(ra.value().first, 0u) << "id 0 is reserved";
-  const uint64_t a_lo = ra.value().first, a_hi = a_lo + ra.value().second;
-  const uint64_t b_lo = rb.value().first, b_hi = b_lo + rb.value().second;
-  EXPECT_TRUE(a_hi <= b_lo || b_hi <= a_lo)
-      << "blocks overlap: [" << a_lo << "," << a_hi << ") vs [" << b_lo << ","
-      << b_hi << ")";
-}
-
 TEST(ServerSessionTest, OpenStoreRejectedWhileIngestIsStaged) {
   auto server = StartServer();
   auto client = Connect(*server);
@@ -260,7 +252,7 @@ TEST(ServerSessionTest, OpenStoreRejectedWhileIngestIsStaged) {
   ASSERT_TRUE(client.value()->OpenStore("first").ok());
 
   RandomDag dag = GenerateDag(2);
-  IngestHandle handle(client.value().get(), /*id_block_size=*/4,
+  IngestHandle handle(client.value().get(), /*max_block_ops=*/4,
                       /*data_block_bytes=*/1 << 20);
   for (size_t i = 0; i < dag.names.size(); ++i)
     ASSERT_TRUE(
@@ -287,7 +279,7 @@ TEST(ServerSessionTest, DroppedSessionCommitsNoStagedIngest) {
     auto client = Connect(*server);
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client.value()->OpenStore("doomed").ok());
-    IngestHandle handle(client.value().get(), /*id_block_size=*/4,
+    IngestHandle handle(client.value().get(), /*max_block_ops=*/4,
                         /*data_block_bytes=*/1 << 20);
     for (size_t i = 0; i < dag.names.size(); ++i)
       ASSERT_TRUE(
@@ -308,6 +300,49 @@ TEST(ServerSessionTest, DroppedSessionCommitsNoStagedIngest) {
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->FindEdge(dag.names[0], dag.names[1]), nullptr)
       << "teardown must discard the session's staged ingest";
+}
+
+// ---------------------------------------------------------------- stats --
+
+// kStats reports each mounted in-situ tenant's LogStore::stats() under
+// "stores": after one cold query, the tenant's entry counts its misses.
+TEST(ServerStatsTest, StoresReportEachInSituTenantsCacheCounters) {
+  RandomDag dag = GenerateDag(5);
+  ASSERT_GE(dag.rels.size(), 1u);
+  DSLog built;
+  ASSERT_TRUE(test_util::RegisterDag(dag, &built).ok());
+  const std::string path = ScratchDir() + "/server_stats_tenant.dsl";
+  ASSERT_TRUE(built.SaveLogStore(path).ok());
+  auto opened = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  auto server = StartServer();
+  ASSERT_TRUE(server->Mount("insitu", std::move(opened).ValueOrDie()).ok());
+  auto client = Connect(*server);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->OpenStore("insitu", /*create=*/false).ok());
+  Rng rng(5);
+  const BoxTable q =
+      BoxTable::FromCells(static_cast<int>(dag.shapes[0].size()),
+                          SampleCells(dag.shapes[0], 4, &rng));
+  ASSERT_TRUE(client.value()->Query({dag.names[0], dag.names[1]}, q).ok());
+
+  const LogStoreStats want = server->store("insitu")->log_store()->stats();
+  ASSERT_GE(want.cache_misses, 1) << "the query was cold";
+  auto stats = client.value()->ServerStats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::string& json = stats.value();
+  const size_t begin = json.find("\"stores\":{\"insitu\":{");
+  ASSERT_NE(begin, std::string::npos) << json;
+  const std::string tenant = json.substr(begin, json.find('}', begin) - begin);
+  EXPECT_NE(
+      tenant.find(test_util::Indexed("\"cache_misses\":", want.cache_misses)),
+      std::string::npos)
+      << tenant;
+  EXPECT_NE(tenant.find(
+                test_util::Indexed("\"segment_count\":", want.segment_count)),
+            std::string::npos)
+      << tenant;
 }
 
 // ---------------------------------------------------- admission control --
@@ -424,7 +459,7 @@ TEST(ServerStressTest, ConcurrentIngestAndQueriesOnSharedTenant) {
       RandomDag dag = GenerateDag(seed);
       if (dag.rels.size() < 2u) return fail("starved dag");
       const std::string prefix = "t" + std::to_string(t) + "_";
-      IngestHandle handle(client.get(), /*id_block_size=*/2,
+      IngestHandle handle(client.get(), /*max_block_ops=*/2,
                           /*data_block_bytes=*/256);
       Status ingested = IngestDag(client.get(), &handle, dag, prefix);
       if (!ingested.ok()) return fail("ingest: " + ingested.ToString());

@@ -156,13 +156,19 @@ inline RandomDag GenerateDag(uint64_t seed) {
   return dag;
 }
 
-/// Defines the dag's arrays and registers every operation into `log`.
-inline Status RegisterDag(const RandomDag& dag, DSLog* log) {
+/// Defines the dag's arrays and registers every operation into `log`, with
+/// `prefix` prepended to every array name (so one catalog can hold copies).
+inline Status RegisterDag(const RandomDag& dag, DSLog* log,
+                          const std::string& prefix = "") {
   for (size_t i = 0; i < dag.names.size(); ++i)
-    DSLOG_RETURN_IF_ERROR(log->DefineArray(dag.names[i], dag.shapes[i]));
+    DSLOG_RETURN_IF_ERROR(
+        log->DefineArray(prefix + dag.names[i], dag.shapes[i]));
   if (dag.has_branch)
-    DSLOG_RETURN_IF_ERROR(log->DefineArray("branch", dag.branch_shape));
+    DSLOG_RETURN_IF_ERROR(log->DefineArray(prefix + "branch",
+                                           dag.branch_shape));
   for (OperationRegistration& reg : dag.Registrations()) {
+    for (std::string& in : reg.in_arrs) in = prefix + in;
+    reg.out_arr = prefix + reg.out_arr;
     auto outcome = log->RegisterOperation(std::move(reg));
     if (!outcome.ok()) return outcome.status();
   }

@@ -333,33 +333,15 @@ TEST(ProtocolTest, OpenStoreAndDefineArrayRoundTrip) {
   EXPECT_EQ(dda.shape, (std::vector<int64_t>{3, 2, 9}));
 }
 
-TEST(ProtocolTest, ReserveIdsRoundTrip) {
-  ReserveIdsRequest req;
-  req.count = 32;
-  ReserveIdsRequest dreq;
-  ASSERT_TRUE(ReserveIdsRequest::Decode(req.Encode(), &dreq));
-  EXPECT_EQ(dreq.count, 32u);
-
-  ReserveIdsResponse resp;
-  resp.base = 1ull << 33;
-  resp.count = 32;
-  ReserveIdsResponse dresp;
-  ASSERT_TRUE(ReserveIdsResponse::Decode(resp.Encode(), &dresp));
-  EXPECT_EQ(dresp.base, 1ull << 33);
-  EXPECT_EQ(dresp.count, 32u);
-}
-
 TEST(ProtocolTest, IngestBatchRoundTrip) {
   IngestBatchRequest req;
-  req.ops.push_back({7, MakeRegistration()});
-  req.ops.push_back({8, MakeRegistration()});
+  req.ops.push_back(MakeRegistration());
+  req.ops.push_back(MakeRegistration());
   IngestBatchRequest dreq;
   ASSERT_TRUE(IngestBatchRequest::Decode(req.Encode(), &dreq));
   ASSERT_EQ(dreq.ops.size(), 2u);
-  EXPECT_EQ(dreq.ops[0].op_id, 7u);
-  EXPECT_EQ(dreq.ops[1].op_id, 8u);
-  ExpectSameRegistration(req.ops[0].reg, dreq.ops[0].reg);
-  ExpectSameRegistration(req.ops[1].reg, dreq.ops[1].reg);
+  ExpectSameRegistration(req.ops[0], dreq.ops[0]);
+  ExpectSameRegistration(req.ops[1], dreq.ops[1]);
 
   IngestBatchResponse resp;
   resp.staged = 42;
@@ -371,7 +353,7 @@ TEST(ProtocolTest, IngestBatchRoundTrip) {
 TEST(ProtocolTest, IngestBatchRejectsForgedOpCountWithoutBallooning) {
   // A count that passes the byte bound but exceeds the ops present must
   // fail on the first missing op, with allocation tracking decoded bytes
-  // (not count * sizeof(WireOperation)).
+  // (not count * sizeof(OperationRegistration)).
   std::string buf;
   PutVarint64(&buf, 1000);
   buf.append(1000, '\0');  // bytes exist, but they are not 1000 ops
@@ -469,15 +451,8 @@ TEST(ProtocolTest, EveryMessageRejectsTruncationAndTrailingBytes) {
   define.name = "A";
   define.shape = {3, 2};
   CheckPrefixRejection(define);
-  ReserveIdsRequest reserve;
-  reserve.count = 5;
-  CheckPrefixRejection(reserve);
-  ReserveIdsResponse reserved;
-  reserved.base = 100;
-  reserved.count = 5;
-  CheckPrefixRejection(reserved);
   IngestBatchRequest ingest;
-  ingest.ops.push_back({1, MakeRegistration()});
+  ingest.ops.push_back(MakeRegistration());
   CheckPrefixRejection(ingest);
   IngestBatchResponse ingested;
   ingested.staged = 3;
@@ -780,9 +755,10 @@ TEST(AdversarialWireTest, BadMagicAndWrongVersionAreRejected) {
     EXPECT_EQ(f->opcode, static_cast<uint8_t>(Opcode::kError));
     EXPECT_TRUE(conn.WaitForEof());
   }
-  // Version 1 encoded QueryOptions with a join-path byte: its clients are
-  // refused at hello rather than having their options misparsed.
-  for (uint32_t version : {1u, 99u}) {
+  // Version 1 encoded QueryOptions with a join-path byte and version 2
+  // prefixed every ingested operation with a reserved id: their clients
+  // are refused at hello rather than having their frames misparsed.
+  for (uint32_t version : {1u, 2u, 99u}) {
     RawConn conn(server->port());
     ASSERT_TRUE(conn.ok());
     HelloRequest req;
